@@ -6,8 +6,6 @@
 //! generic over the engine's message type through [`ProtocolMsg`], so the
 //! 3V engine and all three baselines are driven by the exact same code.
 
-use std::collections::BTreeMap;
-
 use threev_analysis::{TxnRecord, TxnStatus};
 use threev_model::{NodeId, TxnId, TxnPlan};
 use threev_sim::{Actor, Ctx, SimTime};
@@ -52,8 +50,10 @@ pub struct ClientActor<M> {
     arrivals: Vec<Arrival>,
     next: usize,
     next_seq: u64,
+    /// One record per submitted transaction, in strictly increasing
+    /// `TxnId` order (see [`ClientActor::push_record`]), so lookups need no
+    /// index.
     records: Vec<TxnRecord>,
-    index: BTreeMap<TxnId, usize>,
     _marker: std::marker::PhantomData<fn() -> M>,
 }
 
@@ -66,7 +66,6 @@ impl<M: ProtocolMsg> ClientActor<M> {
             next: 0,
             next_seq: 0,
             records: Vec::new(),
-            index: BTreeMap::new(),
             _marker: std::marker::PhantomData,
         }
     }
@@ -93,8 +92,7 @@ impl<M: ProtocolMsg> ClientActor<M> {
             // to. (Counters cannot be audited per-writer; journals can.)
             let journal_keys = arrival.plan.journal_keys();
 
-            self.index.insert(txn, self.records.len());
-            self.records.push(TxnRecord::submitted(
+            self.push_record(TxnRecord::submitted(
                 txn,
                 arrival.plan.kind,
                 ctx.now(),
@@ -121,8 +119,27 @@ impl<M: ProtocolMsg> ClientActor<M> {
         }
     }
 
+    /// Append a record. Both submit paths hand out ids in increasing
+    /// `TxnId` order: scheduled arrivals from `next_seq`, external
+    /// submissions from the caller's own monotone counter.
+    fn push_record(&mut self, record: TxnRecord) {
+        debug_assert!(
+            self.records.last().is_none_or(|last| last.id < record.id),
+            "client records must arrive in increasing TxnId order ({:?} after {:?})",
+            record.id,
+            self.records.last().map(|r| r.id)
+        );
+        self.records.push(record);
+    }
+
+    /// The record of `txn`. The newest transaction is the likeliest to
+    /// complete next, so it is checked before the binary search.
     fn record_mut(&mut self, txn: TxnId) -> Option<&mut TxnRecord> {
-        self.index.get(&txn).map(|&i| &mut self.records[i])
+        let i = match self.records.last() {
+            Some(last) if last.id == txn => self.records.len() - 1,
+            _ => self.records.binary_search_by_key(&txn, |r| r.id).ok()?,
+        };
+        Some(&mut self.records[i])
     }
 
     /// Register a transaction submitted from *outside* the arrival list —
@@ -139,9 +156,7 @@ impl<M: ProtocolMsg> ClientActor<M> {
         at: SimTime,
         journal_keys: Vec<threev_model::Key>,
     ) {
-        self.index.insert(txn, self.records.len());
-        self.records
-            .push(TxnRecord::submitted(txn, kind, at, journal_keys));
+        self.push_record(TxnRecord::submitted(txn, kind, at, journal_keys));
     }
 }
 

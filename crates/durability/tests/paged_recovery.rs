@@ -15,7 +15,10 @@
 //!   the window where the page files are *newer* than the snapshot, which
 //!   only the independent `store_lsn` replay guard handles correctly
 //!   (journal appends are not idempotent, so a single-guard replay would
-//!   double-apply them).
+//!   double-apply them);
+//! * a GC sweep that never reached the page files: the persisted `vr_floor`
+//!   re-collapses the stale chain at open, and a chain that recovers with
+//!   two versions is collected by the first sweep after recovery.
 
 use std::fs::OpenOptions;
 use std::io::Write;
@@ -214,6 +217,68 @@ fn crash_between_flush_and_checkpoint_does_not_double_apply() {
     // store half of that window (a double-applied journal append would
     // duplicate an entry and fail the image comparison).
     crash_and_recover("flush-gap", true, |_| {});
+}
+
+#[test]
+fn gc_floor_recollapses_and_rebuilt_gc_list_collects() {
+    let dir = scratch("gc-floor");
+    let append = |key: u64, version: u32, i: u64| WalOp::Update {
+        key: k(key),
+        version: v(version),
+        op: UpdateOp::Append {
+            amount: i as i64,
+            tag: 0,
+        },
+        txn: t(i),
+    };
+    let live_img = {
+        let mut store = open_store(&dir);
+        let mut d = file_durability(&dir);
+        let mut vu = v(2);
+        apply_live(&mut d, &mut store, &mut vu, append(1, 1, 1));
+        apply_live(&mut d, &mut store, &mut vu, append(2, 1, 2));
+        // Both chains reach the page files with versions 0 and 1.
+        store.flush_dirty(d.lsn());
+        // The sweep collapses both in memory only; then key 2 gains
+        // version 2 and is the only chain the next flush rewrites.
+        apply_live(&mut d, &mut store, &mut vu, WalOp::Gc { vr_new: v(1) });
+        apply_live(&mut d, &mut store, &mut vu, append(2, 2, 3));
+        store.flush_dirty(d.lsn());
+        d.checkpoint(control_snapshot(vu));
+        d.sync();
+        // A WAL tail beyond the page files, then the crash.
+        apply_live(&mut d, &mut store, &mut vu, append(2, 2, 4));
+        d.sync();
+        image(&store)
+    };
+
+    let mut store = open_store(&dir);
+    let store_lsn = store.durable_lsn().expect("page files carry an LSN");
+    let mut d = file_durability(&dir);
+    d.recover_paged(&mut store, store_lsn)
+        .expect("checkpoint exists");
+    assert_eq!(image(&store), live_img, "recovered chains diverge");
+    // Key 1's page image still holds versions 0 and 1; the persisted floor
+    // collapsed it at open.
+    assert_eq!(
+        store.layout(k(1)).expect("key 1").len(),
+        1,
+        "vr_floor re-collapse"
+    );
+    // Key 2 recovered with two versions, so the rebuilt GC list is not
+    // empty: the first sweep after recovery visits and collapses it.
+    assert_eq!(store.layout(k(2)).expect("key 2").len(), 2);
+    store.gc(v(2));
+    assert_eq!(store.stats().gc_visited, 1);
+    assert_eq!(store.current_max_versions(), 1);
+    let survivor = store.layout(k(2)).expect("key 2");
+    assert_eq!(survivor[0].0, v(2));
+    assert_eq!(
+        survivor[0].1.as_journal().expect("journal").len(),
+        3,
+        "the WAL tail's append replayed exactly once"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

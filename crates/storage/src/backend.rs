@@ -29,10 +29,8 @@ use crate::record::VersionedRecord;
 /// The contract mirrors the handful of map operations the §4 rules need.
 /// Backends with durable state additionally track a *dirty set* (every
 /// record touched through [`get_mut`](StorageBackend::get_mut) /
-/// [`insert`](StorageBackend::insert) / a modifying
-/// [`visit_mut`](StorageBackend::visit_mut) callback) and persist exactly
-/// that set on [`flush`](StorageBackend::flush) — the incremental-checkpoint
-/// seam.
+/// [`insert`](StorageBackend::insert)) and persist exactly that set on
+/// [`flush`](StorageBackend::flush) — the incremental-checkpoint seam.
 pub trait StorageBackend: Send + std::fmt::Debug {
     /// Read one record.
     fn get(&self, key: Key) -> Option<&VersionedRecord>;
@@ -55,16 +53,17 @@ pub trait StorageBackend: Send + std::fmt::Debug {
     /// Iterate all records in key order.
     fn iter(&self) -> btree_map::Iter<'_, Key, VersionedRecord>;
 
-    /// Visit every record mutably, in key order. The callback returns
-    /// `true` when it modified the record, which marks it dirty in durable
-    /// backends.
-    fn visit_mut(&mut self, f: &mut dyn FnMut(Key, &mut VersionedRecord) -> bool);
+    /// Visit the record of every key in `keys` mutably, in list order,
+    /// keeping in `keys` exactly those whose callback returns `true` (keys
+    /// with no record are dropped). Never marks a record dirty: the one
+    /// caller is the §4.3 GC sweep, which durable backends persist as a
+    /// floor through [`note_gc`](StorageBackend::note_gc).
+    fn retain_keys(&mut self, keys: &mut Vec<Key>, f: &mut dyn FnMut(&mut VersionedRecord) -> bool);
 
-    /// A §4.3 GC sweep at `vr_new` just ran over every record. Durable
-    /// backends persist the highest floor instead of dirtying the swept
-    /// chains: the sweep is deterministic from `(record, vr_new)`, so it
-    /// is re-derived at open rather than rewritten on disk (see
-    /// [`crate::paged`] module docs).
+    /// A §4.3 GC sweep at `vr_new` just ran. Durable backends persist the
+    /// highest floor instead of dirtying the swept chains: the sweep is
+    /// deterministic from `(record, vr_new)`, so it is re-derived at open
+    /// rather than rewritten on disk (see [`crate::paged`] module docs).
     fn note_gc(&mut self, vr_new: VersionNo) {
         let _ = vr_new;
     }
@@ -121,10 +120,12 @@ impl StorageBackend for MemBackend {
         self.records.iter()
     }
 
-    fn visit_mut(&mut self, f: &mut dyn FnMut(Key, &mut VersionedRecord) -> bool) {
-        for (k, rec) in self.records.iter_mut() {
-            f(*k, rec);
-        }
+    fn retain_keys(
+        &mut self,
+        keys: &mut Vec<Key>,
+        f: &mut dyn FnMut(&mut VersionedRecord) -> bool,
+    ) {
+        keys.retain(|k| self.records.get_mut(k).is_some_and(&mut *f));
     }
 }
 
@@ -175,10 +176,14 @@ impl StorageBackend for AnyBackend {
         }
     }
 
-    fn visit_mut(&mut self, f: &mut dyn FnMut(Key, &mut VersionedRecord) -> bool) {
+    fn retain_keys(
+        &mut self,
+        keys: &mut Vec<Key>,
+        f: &mut dyn FnMut(&mut VersionedRecord) -> bool,
+    ) {
         match self {
-            AnyBackend::Mem(b) => b.visit_mut(f),
-            AnyBackend::Paged(b) => b.visit_mut(f),
+            AnyBackend::Mem(b) => b.retain_keys(keys, f),
+            AnyBackend::Paged(b) => b.retain_keys(keys, f),
         }
     }
 
@@ -311,12 +316,14 @@ mod tests {
         b.insert(Key(9), VersionedRecord::initial(Value::Counter(1)));
         assert_eq!(b.len(), 1);
         assert_eq!(b.iter().count(), 1);
+        let mut keys = vec![Key(9), Key(10)];
         let mut touched = 0;
-        b.visit_mut(&mut |_, _| {
+        b.retain_keys(&mut keys, &mut |_| {
             touched += 1;
-            false
+            true
         });
-        assert_eq!(touched, 1);
+        assert_eq!(touched, 1, "only keys with a record are visited");
+        assert_eq!(keys, vec![Key(9)]);
         assert!(!b.persists_chains());
     }
 

@@ -13,8 +13,9 @@
 //! * **update-all-≥v**: an update applies to every existing version ≥ the
 //!   transaction's version — this single rule realises the "execute against
 //!   both copies" treatment of stragglers (§2.3);
-//! * **garbage collection** (§4.3 Phase 4): drop versions older than the new
-//!   read version, renaming the latest survivor when needed;
+//! * **garbage collection** (§4.3 Phase 4): drop the versions below the
+//!   newest one ≤ the new read version, visiting only records that may hold
+//!   more than one version;
 //! * a **lock table** with commute / non-commute modes and wait-die deadlock
 //!   avoidance, used only by the NC3V extension (§5) — pure 3V takes no
 //!   locks;
@@ -43,7 +44,7 @@ pub mod wire;
 pub use backend::{AnyBackend, BackendConfig, MemBackend, StorageBackend};
 pub use locks::{LockDecision, LockMode, LockTable};
 pub use paged::{PageAllocator, PagedBackend, PAGE_SIZE};
-pub use record::{GcAction, UpdateOutcome, VersionedRecord};
+pub use record::{UpdateOutcome, VersionedRecord};
 pub use store::{Store, StoreError, StoreStats};
 pub use stripe::{stripe_of, StripedLocks, StripedStore};
 pub use undo::UndoLog;

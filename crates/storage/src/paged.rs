@@ -38,17 +38,18 @@
 //! deterministic; the disk image is only read again at
 //! [`PagedBackend::open`] (recovery).
 //!
-//! **GC renames are metadata, not data.** A §4.3 Phase-4 sweep renames the
-//! surviving version of *every* record whose chain predates the new read
-//! version — naively that dirties the whole store on every advancement and
-//! incremental checkpointing degenerates to full rewrites. But the sweep
-//! is a deterministic function of `(record, vr_new)`, so the backend
+//! **GC is metadata, not data.** A §4.3 Phase-4 sweep drops the versions
+//! below the newest one ≤ the new read version from every record that holds
+//! more than one — dirtying those chains would rewrite every record an
+//! advancement's updates touched a second time, only to shorten it. The
+//! sweep is a deterministic function of `(record, vr_new)`, so the backend
 //! persists only the highest swept version (`vr_floor` in the meta) and
 //! re-applies `VersionedRecord::gc(vr_floor)` to each chain at open. Only
 //! records whose *bytes changed for any other reason* (updates, restores)
 //! are marked dirty; `gc` is idempotent and composable over monotone
 //! versions, so replaying the floor over an already-swept or
-//! freshly-flushed record is a no-op.
+//! freshly-flushed record is a no-op. The sweep renames nothing, so a
+//! single-version chain is the same at every floor.
 
 use std::collections::{btree_map, BTreeMap, BTreeSet};
 use std::fs::{self, File, OpenOptions};
@@ -336,9 +337,9 @@ impl PagedBackend {
                 return Err(corrupt(format!("directory says {key:?}, page says {k:?}")));
             }
             // Replay the persisted GC floor: sweeps do not rewrite pages
-            // (module docs), so the on-disk chain may predate the last
-            // advancement's rename. No dirty marking — the page image is
-            // still canonical for this floor.
+            // (module docs), so the on-disk chain may still hold versions
+            // the last advancement dropped. No dirty marking — the page
+            // image is still canonical for this floor.
             rec.gc(meta.vr_floor);
             cache.insert(*key, rec);
         }
@@ -472,12 +473,12 @@ impl StorageBackend for PagedBackend {
         self.cache.iter()
     }
 
-    fn visit_mut(&mut self, f: &mut dyn FnMut(Key, &mut VersionedRecord) -> bool) {
-        for (k, rec) in self.cache.iter_mut() {
-            if f(*k, rec) {
-                self.dirty.insert(*k);
-            }
-        }
+    fn retain_keys(
+        &mut self,
+        keys: &mut Vec<Key>,
+        f: &mut dyn FnMut(&mut VersionedRecord) -> bool,
+    ) {
+        keys.retain(|k| self.cache.get_mut(k).is_some_and(&mut *f));
     }
 
     fn note_gc(&mut self, vr_new: VersionNo) {
@@ -591,8 +592,8 @@ mod tests {
             b2.get(Key(5)).unwrap().value_at(VersionNo(1)).unwrap(),
             b2.cache[&Key(5)].value_at(VersionNo(1)).unwrap()
         );
-        // Shrink the record sharply (GC to a renamed single version after
-        // assigning a small value) and check pages return to the free list.
+        // Shrink the record sharply (a small single-version chain) and
+        // check pages return to the free list.
         b2.get_mut(Key(5)).unwrap();
         *b2.cache.get_mut(&Key(5)).unwrap() =
             VersionedRecord::from_versions(vec![(VersionNo(2), Value::Counter(0))]);
@@ -651,27 +652,38 @@ mod tests {
     fn gc_floor_persists_without_dirtying_chains() {
         let dir = tdir("gc-floor");
         let mut b = PagedBackend::open(&dir).unwrap();
-        b.insert(Key(1), rec(10)); // single version 0
+        b.insert(Key(1), rec(10));
+        b.get_mut(Key(1))
+            .unwrap()
+            .update(
+                Key(1),
+                VersionNo(1),
+                UpdateOp::Add(5),
+                TxnId::new(1, NodeId(0)),
+            )
+            .unwrap();
         b.flush(1);
-        // A §4.3 sweep at v3 renames Key(1)'s version 0 -> 3 in memory.
-        // The backend records only the floor; the chain stays clean.
-        b.get_mut(Key(1)).unwrap().gc(VersionNo(3));
-        b.dirty.clear();
+        // On disk: versions 0 and 1. A §4.3 sweep at v3 drops version 0 in
+        // memory; the backend records only the floor, the chain stays clean.
+        let mut keys = vec![Key(1)];
+        b.retain_keys(&mut keys, &mut |r| {
+            r.gc(VersionNo(3));
+            r.version_count() > 1
+        });
+        assert!(keys.is_empty(), "the swept chain holds one version");
         b.note_gc(VersionNo(3));
         assert_eq!(b.dirty_count(), 0);
         b.note_gc(VersionNo(2)); // floors are monotone: lower is a no-op
         b.flush(2);
         drop(b);
 
-        // Reopen re-derives the rename from the persisted floor, so the
-        // cache matches the pre-crash in-memory image bit for bit.
+        // Reopen re-applies the persisted floor to the two-version page
+        // image, so the cache matches the pre-crash in-memory image.
         let b2 = PagedBackend::open(&dir).unwrap();
         assert_eq!(b2.vr_floor, VersionNo(3));
-        assert_eq!(
-            b2.get(Key(1)).unwrap().value_at(VersionNo(3)),
-            Some(&Value::Counter(10))
-        );
-        assert_eq!(b2.get(Key(1)).unwrap().version_count(), 1);
+        let r = b2.get(Key(1)).unwrap();
+        assert_eq!(r.version_numbers().collect::<Vec<_>>(), vec![VersionNo(1)]);
+        assert_eq!(r.value_at(VersionNo(1)), Some(&Value::Counter(15)));
     }
 
     #[test]

@@ -23,26 +23,6 @@ pub struct UpdateOutcome {
     pub versions_written: u8,
 }
 
-/// What garbage collection did to a record (§4.3 Phase 4).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum GcAction {
-    /// `x(vr_new)` existed: all earlier versions were dropped.
-    DroppedOld {
-        /// How many versions were discarded.
-        dropped: u8,
-    },
-    /// `x(vr_new)` did not exist: the latest earlier version was renamed to
-    /// `vr_new` (and any versions before *it* dropped).
-    Renamed {
-        /// The version that was renamed.
-        from: VersionNo,
-        /// How many versions were discarded.
-        dropped: u8,
-    },
-    /// Nothing to do (record already had a single version `>= vr_new`).
-    None,
-}
-
 /// The live versions of one data item.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct VersionedRecord {
@@ -214,8 +194,9 @@ impl VersionedRecord {
 
     /// Restore version `v` to `value` (undo support). Creates the version
     /// entry if the undo needs to re-insert it; passing `None` removes the
-    /// version (undoing a copy-on-update creation).
-    pub(crate) fn restore(&mut self, v: VersionNo, value: Option<Value>) {
+    /// version (undoing a copy-on-update creation). Returns whether a
+    /// version entry was inserted.
+    pub(crate) fn restore(&mut self, v: VersionNo, value: Option<Value>) -> bool {
         match value {
             Some(val) => {
                 if let Some(slot) = self
@@ -225,42 +206,35 @@ impl VersionedRecord {
                     .map(|(_, x)| x)
                 {
                     *slot = val;
+                    false
                 } else {
                     let pos = self.versions.partition_point(|(w, _)| *w < v);
                     self.versions.insert(pos, (v, val));
+                    true
                 }
             }
-            None => self.versions.retain(|(w, _)| *w != v),
+            None => {
+                self.versions.retain(|(w, _)| *w != v);
+                false
+            }
         }
     }
 
-    /// Garbage collection rule (§4.3 Phase 4) for a new read version:
-    /// if `x(vr_new)` exists, drop all earlier versions; otherwise rename
-    /// the latest earlier version to `vr_new`.
-    pub fn gc(&mut self, vr_new: VersionNo) -> GcAction {
-        if self.exists(vr_new) {
-            let before = self.versions.len();
-            self.versions.retain(|(w, _)| *w >= vr_new);
-            let dropped = (before - self.versions.len()) as u8;
-            if dropped == 0 {
-                GcAction::None
-            } else {
-                GcAction::DroppedOld { dropped }
-            }
-        } else {
-            // Find the latest version < vr_new; rename it.
-            let Some(idx) = self.versions.iter().rposition(|(w, _)| *w < vr_new) else {
-                return GcAction::None; // all versions already >= vr_new
-            };
-            let from = self.versions[idx].0;
-            self.versions[idx].0 = vr_new;
-            // Drop everything before it.
-            self.versions.drain(..idx);
-            GcAction::Renamed {
-                from,
-                dropped: idx as u8,
-            }
-        }
+    /// Garbage collection rule (§4.3 Phase 4) for a new read version: keep
+    /// the newest version ≤ `vr_new` and every version above it, drop the
+    /// rest. Returns how many versions were dropped.
+    ///
+    /// The survivor keeps its version number. The paper renames it to
+    /// `vr_new`, but every read at `v ≥ vr_new` takes the maximum existing
+    /// version ≤ `v` (§2.1) and finds it either way, so a record holding a
+    /// single version never needs collecting.
+    pub fn gc(&mut self, vr_new: VersionNo) -> usize {
+        let dropped = self
+            .versions
+            .partition_point(|(w, _)| *w <= vr_new)
+            .saturating_sub(1);
+        self.versions.drain(..dropped);
+        dropped
     }
 }
 
@@ -343,55 +317,52 @@ mod tests {
         r.update(K, v(2), UpdateOp::Add(1), t(2)).unwrap();
         assert_eq!(r.version_count(), 3);
         // GC to read version 1 drops version 0.
-        assert_eq!(r.gc(v(1)), GcAction::DroppedOld { dropped: 1 });
+        assert_eq!(r.gc(v(1)), 1);
         assert_eq!(r.version_count(), 2);
         r.update(K, v(3), UpdateOp::Add(1), t(3)).unwrap();
         assert_eq!(r.version_count(), 3);
     }
 
     #[test]
-    fn gc_renames_when_target_missing() {
-        // Item never written in v1: GC to vr_new=1 renames v0 -> v1.
+    fn gc_keeps_survivor_when_target_missing() {
+        // Item never written in v1: GC to vr_new=1 keeps v0 under its own
+        // number — it already is the maximum version ≤ 1.
         let mut r = VersionedRecord::initial(Value::Counter(7));
-        assert_eq!(
-            r.gc(v(1)),
-            GcAction::Renamed {
-                from: v(0),
-                dropped: 0
-            }
-        );
+        assert_eq!(r.gc(v(1)), 0);
         assert_eq!(r.version_count(), 1);
-        assert!(r.exists(v(1)));
-        assert!(!r.exists(v(0)));
-        assert_eq!(r.value_at(v(1)), Some(&Value::Counter(7)));
-        // Idempotent-ish: second GC with same target does nothing.
-        assert_eq!(r.gc(v(1)), GcAction::None);
+        assert!(r.exists(v(0)));
+        assert!(!r.exists(v(1)));
+        // Idempotent: a second GC with the same target does nothing.
+        assert_eq!(r.gc(v(1)), 0);
     }
 
     #[test]
-    fn gc_renames_and_drops_older() {
+    fn gc_keeps_newest_below_target_and_drops_older() {
         let mut r = VersionedRecord::initial(Value::Counter(0));
         r.update(K, v(1), UpdateOp::Add(1), t(1)).unwrap();
-        // GC to version 2 (item never written in v2): v1 renamed to v2, v0 dropped.
-        assert_eq!(
-            r.gc(v(2)),
-            GcAction::Renamed {
-                from: v(1),
-                dropped: 1
-            }
-        );
+        // GC to version 2 (item never written in v2): v1 survives as v1,
+        // v0 is dropped.
+        assert_eq!(r.gc(v(2)), 1);
         assert_eq!(r.version_count(), 1);
-        assert_eq!(r.value_at(v(2)), Some(&Value::Counter(1)));
+        assert_eq!(r.value_at(v(1)), Some(&Value::Counter(1)));
+        // Versions above the target are never touched.
+        let mut r = VersionedRecord::initial(Value::Counter(0));
+        r.update(K, v(3), UpdateOp::Add(1), t(2)).unwrap();
+        assert_eq!(r.gc(v(2)), 0);
+        assert_eq!(r.version_numbers().collect::<Vec<_>>(), vec![v(0), v(3)]);
     }
 
     #[test]
-    fn reads_after_gc_rename_see_renamed() {
+    fn reads_after_gc_see_survivor() {
         let mut r = VersionedRecord::initial(Value::Counter(42));
-        r.gc(v(1));
-        // A version-1 or version-2 reader sees the renamed copy; a
-        // version-0 reader cannot exist any more by protocol (Phase 4 waits
-        // for them), and indeed sees nothing.
-        assert_eq!(r.read_visible(v(2)).unwrap().1, &Value::Counter(42));
+        r.update(K, v(1), UpdateOp::Add(1), t(1)).unwrap();
+        r.gc(v(2));
+        // Readers at or above the new read version see the survivor as
+        // they did before the sweep.
+        assert_eq!(r.read_visible(v(2)), Some((v(1), &Value::Counter(43))));
+        assert_eq!(r.read_visible(v(5)).unwrap().1, &Value::Counter(43));
+        // A version-0 reader cannot exist any more by protocol (Phase 4
+        // waits for them); its version is gone.
         assert!(r.read_visible(v(0)).is_none());
     }
 

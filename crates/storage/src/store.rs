@@ -7,7 +7,7 @@ use std::fmt;
 use threev_model::{Key, NodeId, Schema, TxnId, UpdateOp, Value, VersionNo};
 
 use crate::backend::{AnyBackend, MemBackend, StorageBackend};
-use crate::record::{GcAction, UpdateOutcome, VersionedRecord};
+use crate::record::{UpdateOutcome, VersionedRecord};
 use crate::undo::UndoLog;
 
 /// Storage-level errors.
@@ -97,8 +97,9 @@ pub struct StoreStats {
     pub gc_runs: u64,
     /// Versions dropped by GC.
     pub gc_dropped: u64,
-    /// Records renamed by GC (item had no copy at the new read version).
-    pub gc_renamed: u64,
+    /// Records GC visited, summed over sweeps: records that may have held
+    /// more than one version, never the whole store.
+    pub gc_visited: u64,
 }
 
 /// The node-local store, generic over where the chains live. Bare `Store`
@@ -109,6 +110,10 @@ pub struct Store<B: StorageBackend = MemBackend> {
     node: NodeId,
     backend: B,
     stats: StoreStats,
+    /// Keys whose record may hold more than one version — the only records
+    /// a GC sweep can change. Holds every such key, possibly repeated and
+    /// possibly stale; [`Store::gc`] sorts, dedups and prunes it.
+    multi_version: Vec<Key>,
 }
 
 impl Store<MemBackend> {
@@ -128,17 +133,11 @@ impl Store<MemBackend> {
     /// Statistics restart from the recovered layout: the historical
     /// counters died with the node.
     pub fn from_parts(node: NodeId, parts: Vec<(Key, Vec<(VersionNo, Value)>)>) -> Self {
-        let mut store = Store::empty(node);
+        let mut backend = MemBackend::default();
         for (key, versions) in parts {
-            store.stats.max_versions_of_any_item = store
-                .stats
-                .max_versions_of_any_item
-                .max(versions.len() as u32);
-            store
-                .backend
-                .insert(key, VersionedRecord::from_versions(versions));
+            backend.insert(key, VersionedRecord::from_versions(versions));
         }
-        store
+        Store::on_backend(backend, node)
     }
 
     /// Erase the backend type (the node engine's store is `Store<AnyBackend>`
@@ -148,20 +147,30 @@ impl Store<MemBackend> {
             node: self.node,
             backend: AnyBackend::Mem(self.backend),
             stats: self.stats,
+            multi_version: self.multi_version,
         }
     }
 }
 
 impl<B: StorageBackend> Store<B> {
-    /// Wrap an opened backend without touching its contents. The
-    /// max-versions high-water mark restarts from the recovered layout.
+    /// Wrap an opened backend without touching its contents. One scan of
+    /// the recovered layout restarts the max-versions high-water mark and
+    /// rebuilds the list of records the next GC sweep must visit.
     pub fn on_backend(backend: B, node: NodeId) -> Self {
         let mut store = Store {
             node,
             backend,
             stats: StoreStats::default(),
+            multi_version: Vec::new(),
         };
-        store.stats.max_versions_of_any_item = store.current_max_versions() as u32;
+        for (key, rec) in store.backend.iter() {
+            let n = rec.version_count();
+            store.stats.max_versions_of_any_item =
+                store.stats.max_versions_of_any_item.max(n as u32);
+            if n > 1 {
+                store.multi_version.push(*key);
+            }
+        }
         store
     }
 
@@ -302,6 +311,7 @@ impl<B: StorageBackend> Store<B> {
         self.stats.updates += 1;
         if out.created_version {
             self.stats.copies_created += 1;
+            self.multi_version.push(key);
         }
         if out.versions_written >= 2 {
             self.stats.dual_writes += 1;
@@ -331,6 +341,7 @@ impl<B: StorageBackend> Store<B> {
         self.stats.updates += 1;
         if out.created_version {
             self.stats.copies_created += 1;
+            self.multi_version.push(key);
         }
         self.stats.max_versions_of_any_item = self
             .stats
@@ -353,35 +364,34 @@ impl<B: StorageBackend> Store<B> {
     /// Entries are applied newest-first.
     pub fn rollback(&mut self, log: UndoLog) {
         for (key, version, prior) in log.into_entries_rev() {
-            if let Some(rec) = self.backend.get_mut(key) {
-                rec.restore(version, prior);
-            }
+            self.restore_version(key, version, prior);
         }
     }
 
-    /// Garbage-collect every record for the new read version (§4.3 Phase 4).
+    /// Garbage-collect for the new read version (§4.3 Phase 4): every
+    /// record keeps its newest version ≤ `vr_new` and every version above
+    /// it (see [`VersionedRecord::gc`]).
     ///
-    /// The sweep does *not* dirty the records it changes: a GC rename is a
+    /// Only records that may hold more than one version are visited — the
+    /// keys an update, an exact update or a restore gave a new version
+    /// since they were last collapsed — so a sweep costs what the retiring
+    /// versions touched, not the size of the store. A single-version record
+    /// is already collected at every `vr_new`.
+    ///
+    /// The sweep does *not* dirty the records it changes: it is a
     /// deterministic function of `(record, vr_new)`, so durable backends
     /// persist only the highest swept version — the *vr floor*, via
-    /// [`StorageBackend::note_gc`] — and re-derive the renames at open.
-    /// Dirtying here would turn every advancement into a full-store
-    /// rewrite, defeating incremental checkpoints.
+    /// [`StorageBackend::note_gc`] — and re-apply it at open.
     pub fn gc(&mut self, vr_new: VersionNo) {
+        self.multi_version.sort_unstable();
+        self.multi_version.dedup();
         let stats = &mut self.stats;
         stats.gc_runs += 1;
+        stats.gc_visited += self.multi_version.len() as u64;
         self.backend
-            .visit_mut(&mut |_key, rec| match rec.gc(vr_new) {
-                GcAction::DroppedOld { dropped } => {
-                    stats.gc_dropped += dropped as u64;
-                    false
-                }
-                GcAction::Renamed { dropped, .. } => {
-                    stats.gc_renamed += 1;
-                    stats.gc_dropped += dropped as u64;
-                    false
-                }
-                GcAction::None => false,
+            .retain_keys(&mut self.multi_version, &mut |rec| {
+                stats.gc_dropped += rec.gc(vr_new) as u64;
+                rec.version_count() > 1
             });
         self.backend.note_gc(vr_new);
     }
@@ -392,7 +402,9 @@ impl<B: StorageBackend> Store<B> {
     /// recovery.
     pub fn restore_version(&mut self, key: Key, v: VersionNo, prior: Option<Value>) {
         if let Some(rec) = self.backend.get_mut(key) {
-            rec.restore(v, prior);
+            if rec.restore(v, prior) {
+                self.multi_version.push(key);
+            }
         }
     }
 
@@ -571,18 +583,70 @@ mod tests {
     }
 
     #[test]
-    fn gc_sweeps_everything() {
+    fn gc_visits_only_multi_version_records() {
         let mut s = store();
         s.update(Key(1), v(1), UpdateOp::Add(1), t(1), None)
             .unwrap();
-        // Key(2) untouched in v1 -> will be renamed.
+        // Key(2) untouched in v1: one version, not visited, not renamed.
         s.gc(v(1));
         let st = s.stats();
         assert_eq!(st.gc_runs, 1);
+        assert_eq!(st.gc_visited, 1); // Key(1) only
         assert_eq!(st.gc_dropped, 1); // Key(1)'s version 0
-        assert_eq!(st.gc_renamed, 1); // Key(2) renamed 0 -> 1
         assert_eq!(s.current_max_versions(), 1);
-        assert_eq!(s.read_visible(Key(2), v(1)).unwrap().0, v(1));
+        assert_eq!(s.read_visible(Key(1), v(1)).unwrap().0, v(1));
+        assert_eq!(s.read_visible(Key(2), v(1)).unwrap().0, v(0));
+        // Key(1) collapsed to one version: the next sweep visits nothing.
+        s.gc(v(2));
+        assert_eq!(s.stats().gc_visited, 1);
+    }
+
+    #[test]
+    fn gc_cost_does_not_grow_with_store_size() {
+        let mut s = Store::empty(NodeId(0));
+        for k in 0..65_536 {
+            s.insert_initial(Key(k), Value::Counter(0));
+        }
+        let touched: Vec<Key> = (0..10).map(|i| Key(i * 6_553)).collect();
+        for round in 1..=4u32 {
+            for (i, &k) in touched.iter().enumerate() {
+                s.update(k, v(round), UpdateOp::Add(1), t(i as u64), None)
+                    .unwrap();
+            }
+            let before = s.stats().gc_visited;
+            s.gc(v(round));
+            assert_eq!(s.stats().gc_visited - before, 10, "round {round}");
+        }
+        assert_eq!(s.current_max_versions(), 1);
+        assert_eq!(
+            s.read_visible(touched[3], v(4)).unwrap().1,
+            Value::Counter(4)
+        );
+    }
+
+    #[test]
+    fn restore_that_reinserts_a_version_is_collected() {
+        let mut s = store();
+        s.update(Key(1), v(1), UpdateOp::Add(1), t(1), None)
+            .unwrap();
+        s.gc(v(1));
+        // Re-insert the collected version 0, as a logged rollback replayed
+        // over a collapsed chain would.
+        s.restore_version(Key(1), v(0), Some(Value::Counter(100)));
+        assert_eq!(s.current_max_versions(), 2);
+        s.gc(v(1));
+        assert_eq!(s.current_max_versions(), 1);
+    }
+
+    #[test]
+    fn reopened_store_rebuilds_its_gc_list() {
+        let mut s = store();
+        s.update(Key(1), v(1), UpdateOp::Add(1), t(1), None)
+            .unwrap();
+        let mut reopened = Store::from_parts(NodeId(0), s.export_parts());
+        reopened.gc(v(1));
+        assert_eq!(reopened.stats().gc_visited, 1);
+        assert_eq!(reopened.current_max_versions(), 1);
     }
 
     #[test]

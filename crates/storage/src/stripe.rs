@@ -28,7 +28,7 @@
 //!   per-stripe grants and stable-sorts them by key, reproducing the single
 //!   table's key-ordered promotion sweep (within one key all grants come
 //!   from one stripe in FIFO order, and a stable sort preserves that).
-//! * **Stats**: reads/updates/copies/dual-writes/GC-drop counters are sums
+//! * **Stats**: reads/updates/copies/dual-writes/GC-drop/GC-visit counters are sums
 //!   of disjoint routed events; the version high-water mark is a max; a GC
 //!   sweep runs once over every stripe, so `gc_runs` merges as a max, not
 //!   a sum.
@@ -204,7 +204,7 @@ impl StripedStore {
                 .max(st.max_versions_of_any_item);
             out.gc_runs = out.gc_runs.max(st.gc_runs);
             out.gc_dropped += st.gc_dropped;
-            out.gc_renamed += st.gc_renamed;
+            out.gc_visited += st.gc_visited;
         }
         out
     }

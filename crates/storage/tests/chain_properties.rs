@@ -8,7 +8,7 @@ use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 use threev_model::{Key, NodeId, TxnId, UpdateOp, Value, VersionNo};
-use threev_storage::VersionedRecord;
+use threev_storage::{Store, UndoLog, VersionedRecord};
 
 fn tid(seq: u64) -> TxnId {
     TxnId::new(seq, NodeId(0))
@@ -47,13 +47,32 @@ impl RefRecord {
         }
     }
 
+    fn update_exact(&mut self, v: u32, op: UpdateOp, txn: TxnId) {
+        if !self.versions.contains_key(&v) {
+            let base = self
+                .read_visible(v)
+                .map(|(_, val)| val.clone())
+                .expect("visible base");
+            self.versions.insert(v, base);
+        }
+        op.apply(self.versions.get_mut(&v).unwrap(), txn).unwrap();
+    }
+
+    fn restore(&mut self, v: u32, prior: Option<Value>) {
+        match prior {
+            Some(val) => {
+                self.versions.insert(v, val);
+            }
+            None => {
+                self.versions.remove(&v);
+            }
+        }
+    }
+
+    /// Keep the newest version ≤ `vr_new` and everything above it.
     fn gc(&mut self, vr_new: u32) {
-        if self.versions.contains_key(&vr_new) {
-            self.versions.retain(|w, _| *w >= vr_new);
-        } else if let Some((&w, _)) = self.versions.range(..vr_new).next_back() {
-            let val = self.versions.remove(&w).unwrap();
-            self.versions.retain(|x, _| *x >= vr_new);
-            self.versions.insert(vr_new, val);
+        if let Some((&keep, _)) = self.versions.range(..=vr_new).next_back() {
+            self.versions.retain(|w, _| *w >= keep);
         }
     }
 }
@@ -143,10 +162,133 @@ proptest! {
         let mut twice = once.clone();
         twice.gc(VersionNo(1));
         prop_assert_eq!(&once, &twice);
+        prop_assert!(once.version_numbers().filter(|v| *v < VersionNo(1)).count() <= 1);
         // Monotone follow-up.
         let mut ahead = once.clone();
         ahead.gc(VersionNo(2));
         prop_assert!(ahead.version_count() <= once.version_count());
-        prop_assert!(ahead.version_numbers().all(|v| v >= VersionNo(2)));
+        prop_assert!(ahead.version_numbers().filter(|v| *v < VersionNo(2)).count() <= 1);
+        // Nothing a reader at or above the target can see is lost.
+        for v in 2..=3 {
+            prop_assert_eq!(ahead.read_visible(VersionNo(v)), once.read_visible(VersionNo(v)));
+        }
     }
+
+    /// `Store::gc` visits only the keys it tracked as multi-version; a
+    /// full sweep of every key under the same rule must see exactly the
+    /// same store after any protocol-shaped mix of updates, exact updates,
+    /// rollbacks, restores and sweeps.
+    #[test]
+    fn store_gc_matches_full_sweep_reference(
+        steps in proptest::collection::vec(store_step(), 1..150)
+    ) {
+        let mut store = Store::empty(NodeId(0));
+        let mut reference: Vec<RefRecord> = Vec::new();
+        for k in 0..KEYS {
+            store.insert_initial(Key(k), Value::Counter(0));
+            reference.push(RefRecord::new(Value::Counter(0)));
+        }
+        let mut floor = 0u32;
+        let mut seq = 0u64;
+
+        for s in steps {
+            seq += 1;
+            match s {
+                StoreStep::Update { key, offset, delta } => {
+                    let v = floor + offset;
+                    store.update(Key(key), VersionNo(v), UpdateOp::Add(delta), tid(seq), None).unwrap();
+                    reference[key as usize].update(v, UpdateOp::Add(delta), tid(seq));
+                }
+                StoreStep::UpdateExact { key, offset, delta } => {
+                    let v = floor + offset;
+                    store.update_exact(Key(key), VersionNo(v), UpdateOp::Add(delta), tid(seq)).unwrap();
+                    reference[key as usize].update_exact(v, UpdateOp::Add(delta), tid(seq));
+                }
+                StoreStep::Rollback { key, offset, delta } => {
+                    // An aborted subtransaction: applied under an undo log,
+                    // then rolled back. The reference never saw it.
+                    let mut log = UndoLog::default();
+                    let v = VersionNo(floor + offset);
+                    store.update(Key(key), v, UpdateOp::Add(delta), tid(seq), Some(&mut log)).unwrap();
+                    store.rollback(log);
+                }
+                StoreStep::Restore { key, offset, value } => {
+                    // Replayed rollback entries: overwrite a live version,
+                    // re-insert one, or remove one (undoing a copy-on-update).
+                    // Only protocol-shaped results are applied: exactly one
+                    // version ≤ the read version, so later updates always
+                    // find a base and never make a fourth version.
+                    let v = floor + offset;
+                    let prior = value.map(Value::Counter);
+                    let mut after = reference[key as usize].clone();
+                    after.restore(v, prior.clone());
+                    if after.versions.range(..=floor).count() == 1 && after.versions.len() <= 3 {
+                        store.restore_version(Key(key), VersionNo(v), prior);
+                        reference[key as usize] = after;
+                    }
+                }
+                StoreStep::Advance => {
+                    floor += 1;
+                    store.gc(VersionNo(floor));
+                    for r in &mut reference {
+                        r.gc(floor);
+                    }
+                }
+            }
+            for k in 0..KEYS {
+                let want = &reference[k as usize];
+                let got = store.layout(Key(k)).unwrap();
+                prop_assert!(got.len() <= 3, "k{} grew past 3 versions", k);
+                prop_assert_eq!(got.len(), want.versions.len(), "version count of k{}", k);
+                for v in floor..=floor + 3 {
+                    let got = store.read_visible(Key(k), VersionNo(v)).ok().map(|(w, val)| (w.0, val));
+                    let want = want.read_visible(v).map(|(w, val)| (w, val.clone()));
+                    prop_assert_eq!(got, want, "read of k{} at v{}", k, v);
+                }
+            }
+        }
+    }
+}
+
+const KEYS: u64 = 4;
+
+/// One step of the store-level property: updates land at the drifting
+/// update versions (`floor + 1`, `floor + 2`), restores at the window
+/// including the read version.
+#[derive(Clone, Debug)]
+enum StoreStep {
+    Update {
+        key: u64,
+        offset: u32,
+        delta: i64,
+    },
+    UpdateExact {
+        key: u64,
+        offset: u32,
+        delta: i64,
+    },
+    Rollback {
+        key: u64,
+        offset: u32,
+        delta: i64,
+    },
+    Restore {
+        key: u64,
+        offset: u32,
+        value: Option<i64>,
+    },
+    Advance,
+}
+
+fn store_step() -> impl Strategy<Value = StoreStep> {
+    let op = || (0..KEYS, 1u32..=2, -100i64..100);
+    prop_oneof![
+        4 => op().prop_map(|(key, offset, delta)| StoreStep::Update { key, offset, delta }),
+        2 => op().prop_map(|(key, offset, delta)| StoreStep::UpdateExact { key, offset, delta }),
+        2 => op().prop_map(|(key, offset, delta)| StoreStep::Rollback { key, offset, delta }),
+        2 => (0..KEYS, 0u32..=2, -100i64..100, any::<bool>()).prop_map(|(key, offset, x, keep)| {
+            StoreStep::Restore { key, offset, value: keep.then_some(x) }
+        }),
+        2 => Just(StoreStep::Advance),
+    ]
 }
