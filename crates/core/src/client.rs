@@ -50,9 +50,9 @@ pub struct ClientActor<M> {
     arrivals: Vec<Arrival>,
     next: usize,
     next_seq: u64,
-    /// One record per submitted transaction, in strictly increasing
-    /// `TxnId` order (see [`ClientActor::push_record`]), so lookups need no
-    /// index.
+    /// One record per submitted transaction, until taken (see
+    /// [`ClientActor::take_finished`]), in strictly increasing `TxnId`
+    /// order (see [`ClientActor::push_record`]), so lookups need no index.
     records: Vec<TxnRecord>,
     _marker: std::marker::PhantomData<fn() -> M>,
 }
@@ -70,7 +70,8 @@ impl<M: ProtocolMsg> ClientActor<M> {
         }
     }
 
-    /// Records collected so far (complete after the run quiesces).
+    /// Records collected so far and not taken (complete after the run
+    /// quiesces).
     pub fn records(&self) -> &[TxnRecord] {
         &self.records
     }
@@ -135,11 +136,31 @@ impl<M: ProtocolMsg> ClientActor<M> {
     /// The record of `txn`. The newest transaction is the likeliest to
     /// complete next, so it is checked before the binary search.
     fn record_mut(&mut self, txn: TxnId) -> Option<&mut TxnRecord> {
-        let i = match self.records.last() {
-            Some(last) if last.id == txn => self.records.len() - 1,
-            _ => self.records.binary_search_by_key(&txn, |r| r.id).ok()?,
-        };
+        let i = self.record_index(txn)?;
         Some(&mut self.records[i])
+    }
+
+    fn record_index(&self, txn: TxnId) -> Option<usize> {
+        match self.records.last() {
+            Some(last) if last.id == txn => Some(self.records.len() - 1),
+            _ => self.records.binary_search_by_key(&txn, |r| r.id).ok(),
+        }
+    }
+
+    /// Remove and return the record of `txn` if it has finished; an
+    /// in-flight or unknown transaction returns `None` and nothing moves.
+    ///
+    /// Call it only after the run has reached quiescence. A finished
+    /// record can still receive a late abort report while messages are in
+    /// flight (the completion chain and the compensation path race, see
+    /// the `ClientEvent::Done` arm of `on_message`); once the record is
+    /// taken, such a report finds nothing and is dropped.
+    pub fn take_finished(&mut self, txn: TxnId) -> Option<TxnRecord> {
+        let i = self.record_index(txn)?;
+        if self.records[i].status == TxnStatus::InFlight {
+            return None;
+        }
+        Some(self.records.remove(i))
     }
 
     /// Register a transaction submitted from *outside* the arrival list —
@@ -315,5 +336,82 @@ mod tests {
         assert!(records.iter().all(|r| r.status == TxnStatus::Committed));
         assert!(records[0].submitted >= SimTime(1_000));
         assert!(records[0].completed.unwrap() > records[0].submitted);
+    }
+
+    /// A simulation of one echo node and a client with no arrivals, whose
+    /// records are registered externally as `txns`.
+    fn external_sim(txns: &[TxnId]) -> threev_sim::Simulation<TestActor> {
+        use threev_sim::{SimConfig, Simulation};
+        let mut client = ClientActor::<FakeMsg>::new(Vec::new());
+        for &txn in txns {
+            client.register_external(txn, TxnKind::Commuting, SimTime::ZERO, Vec::new());
+        }
+        Simulation::new(
+            vec![TestActor::Node(EchoNode), TestActor::Client(client)],
+            SimConfig::seeded(1),
+        )
+    }
+
+    fn client_of(sim: &mut threev_sim::Simulation<TestActor>) -> &mut ClientActor<FakeMsg> {
+        match &mut sim.actors_mut()[1] {
+            TestActor::Client(c) => c,
+            TestActor::Node(_) => unreachable!(),
+        }
+    }
+
+    /// Deliver a completion of `txn` to the client and run it through.
+    fn complete(sim: &mut threev_sim::Simulation<TestActor>, txn: TxnId) {
+        sim.inject(NodeId(0), NodeId(1), FakeMsg::Done { txn });
+        sim.run_to_quiescence(SimTime::MAX);
+    }
+
+    #[test]
+    fn take_finished_leaves_in_flight_records_in_place() {
+        let txn = TxnId::new(0, NodeId(0));
+        let mut sim = external_sim(&[txn]);
+        sim.run_to_quiescence(SimTime::MAX);
+        let c = client_of(&mut sim);
+        assert!(c.take_finished(txn).is_none());
+        assert_eq!(c.records().len(), 1);
+        assert_eq!(c.records()[0].status, TxnStatus::InFlight);
+        // An id that was never registered is not an error either.
+        assert!(c.take_finished(TxnId::new(9, NodeId(0))).is_none());
+        assert_eq!(c.records().len(), 1);
+    }
+
+    #[test]
+    fn take_finished_returns_and_removes_a_finished_record() {
+        let txn = TxnId::new(0, NodeId(0));
+        let mut sim = external_sim(&[txn]);
+        complete(&mut sim, txn);
+        let c = client_of(&mut sim);
+        let rec = c.take_finished(txn).expect("finished record");
+        assert_eq!(rec.id, txn);
+        assert_eq!(rec.status, TxnStatus::Committed);
+        assert!(rec.completed.is_some());
+        assert!(c.records().is_empty());
+        assert!(c.take_finished(txn).is_none(), "a record is taken once");
+    }
+
+    #[test]
+    fn completions_land_after_a_middle_record_is_taken() {
+        let txns: Vec<TxnId> = (0..3).map(|s| TxnId::new(s, NodeId(0))).collect();
+        let mut sim = external_sim(&txns);
+        complete(&mut sim, txns[1]);
+        let taken = client_of(&mut sim)
+            .take_finished(txns[1])
+            .expect("finished");
+        assert_eq!(taken.id, txns[1]);
+        // The neighbours are still found, by the last-record check and by
+        // the binary search over what is left.
+        complete(&mut sim, txns[2]);
+        complete(&mut sim, txns[0]);
+        let c = client_of(&mut sim);
+        let ids: Vec<TxnId> = c.records().iter().map(|r| r.id).collect();
+        assert_eq!(ids, vec![txns[0], txns[2]]);
+        assert!(c.records().iter().all(|r| r.status == TxnStatus::Committed));
+        assert_eq!(c.take_finished(txns[0]).map(|r| r.id), Some(txns[0]));
+        assert_eq!(c.take_finished(txns[2]).map(|r| r.id), Some(txns[2]));
+        assert!(c.records().is_empty());
     }
 }

@@ -9,6 +9,13 @@
 //! on this: a workload replayed through real sockets must leave the same
 //! committed store as the in-process driver at the same seed.
 //!
+//! The engine keeps no per-transaction state once it has replied: after
+//! the run to quiescence it takes the finished record out of the root
+//! partition's client ([`ShardedCluster::take_finished`]) and moves its
+//! reads into the [`TxnOutcome`], so memory is sized by the store, not by
+//! how many commands the server has answered. Every other driver of a
+//! cluster keeps its full records for the auditor.
+//!
 //! Version advancement runs on a commit cadence (`advance_every`): after
 //! every N committed updates the engine asks every partition's coordinator
 //! for one advancement and drains it, so read-only transactions see fresh
@@ -31,9 +38,10 @@ pub enum EngineError {
     Submit(SubmitError),
     /// A read named a key the schema does not declare.
     UnknownKey(Key),
-    /// The cluster ran to quiescence but the transaction's record is
-    /// missing or unfinished — an engine invariant violation, reported
-    /// (never panicked) so the server can answer with a typed error.
+    /// The cluster ran to quiescence but the transaction left no finished
+    /// record to take (or a read-only tree's record lacks a requested
+    /// key) — an engine invariant violation, reported (never panicked) so
+    /// the server can answer with a typed error.
     RecordMissing(TxnId),
 }
 
@@ -116,7 +124,7 @@ impl Engine {
         self.next_seq += 1;
         self.submitted += 1;
         self.cluster.run(SimTime::MAX);
-        let outcome = self.outcome_of(plan.root.node, txn)?;
+        let outcome = self.outcome_of(txn)?;
         if outcome.committed {
             self.committed += 1;
             if plan.kind != TxnKind::ReadOnly && self.advance_every > 0 {
@@ -135,6 +143,26 @@ impl Engine {
     /// transaction tree spanning every home node. Duplicates are served
     /// once; results come back in first-occurrence order.
     pub fn read(&mut self, keys: &[Key]) -> Result<Vec<ReadResult>, EngineError> {
+        let Some((unique, plan)) = self.read_plan(keys)? else {
+            return Ok(Vec::new());
+        };
+        let outcome = self.submit(&plan)?;
+        self.reads_served += 1;
+        // Move the observations into first-occurrence request order.
+        let mut reads = outcome.reads;
+        let mut out = Vec::with_capacity(unique.len());
+        for k in unique {
+            match reads.iter().position(|r| r.key == k) {
+                Some(i) => out.push(reads.swap_remove(i)),
+                None => return Err(EngineError::RecordMissing(outcome.txn)),
+            }
+        }
+        Ok(out)
+    }
+
+    /// The read-only tree [`Engine::read`] submits for `keys`, with the
+    /// deduplicated keys in first-occurrence order; `None` for no keys.
+    fn read_plan(&self, keys: &[Key]) -> Result<Option<(Vec<Key>, TxnPlan)>, EngineError> {
         let mut unique: Vec<Key> = Vec::new();
         let mut by_node: BTreeMap<NodeId, Vec<Key>> = BTreeMap::new();
         for &k in keys {
@@ -146,7 +174,7 @@ impl Engine {
             by_node.entry(home).or_default().push(k);
         }
         if unique.is_empty() {
-            return Ok(Vec::new());
+            return Ok(None);
         }
         // Root on the first key's home node; every other node becomes a
         // child subtransaction (order fixed by the BTreeMap for
@@ -168,17 +196,7 @@ impl Engine {
             }
             root = root.child(sub);
         }
-        let outcome = self.submit(&TxnPlan::read_only(root))?;
-        self.reads_served += 1;
-        // Reorder the observations to first-occurrence request order.
-        let mut out = Vec::with_capacity(unique.len());
-        for k in unique {
-            match outcome.reads.iter().find(|r| r.key == k) {
-                Some(r) => out.push(r.clone()),
-                None => return Err(EngineError::RecordMissing(outcome.txn)),
-            }
-        }
-        Ok(out)
+        Ok(Some((unique, TxnPlan::read_only(root))))
     }
 
     /// One advancement round: ask every partition's coordinator and run
@@ -245,29 +263,25 @@ impl Engine {
         &self.cluster
     }
 
-    fn outcome_of(&self, root: NodeId, txn: TxnId) -> Result<TxnOutcome, EngineError> {
-        let p = self.cluster.topology().partition_of(root);
+    /// Take `txn`'s finished record out of the cluster and move its reads
+    /// into the outcome. Only called once the cluster is quiescent, which
+    /// is [`ShardedCluster::take_finished`]'s precondition.
+    fn outcome_of(&mut self, txn: TxnId) -> Result<TxnOutcome, EngineError> {
         let record = self
             .cluster
-            .partition_records(p)
-            .iter()
-            .rev()
-            .find(|r| r.id == txn)
+            .take_finished(txn)
             .ok_or(EngineError::RecordMissing(txn))?;
-        if record.status == TxnStatus::InFlight {
-            return Err(EngineError::RecordMissing(txn));
-        }
         Ok(TxnOutcome {
             txn,
             committed: record.status == TxnStatus::Committed,
             version: record.version,
             reads: record
                 .reads
-                .iter()
+                .into_iter()
                 .map(|o| ReadResult {
                     key: o.key,
                     version: o.version,
-                    value: o.value.clone(),
+                    value: o.value,
                 })
                 .collect(),
         })
@@ -362,6 +376,134 @@ mod tests {
         }
         // advance_every = 4 → two automatic rounds.
         assert_eq!(e.stats().advancements, 2);
+    }
+
+    /// Submit `plan` to `twin` the way the engine does, then run the
+    /// `advanced` advancement rounds the engine ran after it.
+    fn twin_step(twin: &mut ShardedCluster, seq: &mut u64, plan: &TxnPlan, advanced: u64) -> TxnId {
+        let txn = twin.submit_external(*seq, plan, None).unwrap();
+        *seq += 1;
+        twin.run(SimTime::MAX);
+        for _ in 0..advanced {
+            twin.trigger_advancement_all();
+            twin.run(SimTime::MAX);
+        }
+        txn
+    }
+
+    fn twin_record(twin: &ShardedCluster, txn: TxnId) -> &threev_analysis::TxnRecord {
+        let p = twin.topology().partition_of(txn.origin);
+        twin.partition_records(p)
+            .iter()
+            .find(|r| r.id == txn)
+            .expect("the twin retains every record")
+    }
+
+    fn to_result(o: &threev_analysis::ReadObservation) -> ReadResult {
+        ReadResult {
+            key: o.key,
+            version: o.version,
+            value: o.value.clone(),
+        }
+    }
+
+    fn twin_read(twin: &ShardedCluster, txn: TxnId, key: Key) -> ReadResult {
+        to_result(
+            twin_record(twin, txn)
+                .reads
+                .iter()
+                .find(|o| o.key == key)
+                .expect("the twin read every requested key"),
+        )
+    }
+
+    /// The engine hands out every finished record and keeps none, and what
+    /// it hands out is exactly what a twin cluster, driven by the same
+    /// calls, retains.
+    #[test]
+    fn outcomes_match_a_retaining_twin_and_no_record_is_kept() {
+        use threev_shard::ShardedHospital;
+        use threev_workload::hospital::{balance_key, charges_key};
+        use threev_workload::HospitalWorkload;
+
+        let hospital = ShardedHospital::new(
+            HospitalWorkload {
+                departments: 4,
+                patients: 32,
+                rate_tps: 4_000.0,
+                duration: threev_sim::SimDuration::from_millis(400),
+                seed: 0x0C0,
+                ..HospitalWorkload::default()
+            },
+            Topology::new(2, 2),
+        );
+        let schema = hospital.schema();
+        let cfg = ShardedConfig::new(2, 2).seed(0xE2);
+        let mut engine = Engine::new(&schema, cfg.clone(), 8);
+        let mut twin = ShardedCluster::new(&schema, cfg, vec![Vec::new(); 2]);
+        let mut twin_seq = 0;
+
+        let mut submits: Vec<TxnOutcome> = Vec::new();
+        let mut reads: Vec<(TxnId, Vec<Key>, Vec<ReadResult>)> = Vec::new();
+        for (i, (_, plan)) in crate::load::schedule(&hospital).iter().enumerate() {
+            let before = engine.stats().advancements;
+            let out = engine.submit(plan).unwrap();
+            let advanced = engine.stats().advancements - before;
+            assert_eq!(twin_step(&mut twin, &mut twin_seq, plan, advanced), out.txn);
+            submits.push(out);
+
+            if i % 4 == 0 {
+                let (dept, patient) = ((i / 4 % 4) as u16, (i % 32) as u64);
+                let keys = [
+                    charges_key(dept, patient),
+                    balance_key(3 - dept, patient),
+                    charges_key(dept, patient),
+                ];
+                let (unique, plan) = engine.read_plan(&keys).unwrap().unwrap();
+                let before = engine.stats().advancements;
+                let got = engine.read(&keys).unwrap();
+                let advanced = engine.stats().advancements - before;
+                let txn = twin_step(&mut twin, &mut twin_seq, &plan, advanced);
+                reads.push((txn, unique, got));
+            }
+            if i % 97 == 96 {
+                engine.trigger_advancement();
+                twin.trigger_advancement_all();
+                twin.run(SimTime::MAX);
+            }
+        }
+
+        for p in engine.partitions() {
+            assert!(
+                engine.cluster().partition_records(p).is_empty(),
+                "partition {p:?} kept records the engine already answered"
+            );
+        }
+        assert!(submits.len() + reads.len() >= 1_500, "workload too small");
+        assert_eq!(twin.records().len(), submits.len() + reads.len());
+        assert_eq!(engine.cluster().now(), twin.now());
+        assert_eq!(engine.cluster().cross_messages(), twin.cross_messages());
+
+        for out in &submits {
+            let rec = twin_record(&twin, out.txn);
+            assert_ne!(rec.status, TxnStatus::InFlight);
+            assert_eq!(out.committed, rec.status == TxnStatus::Committed);
+            assert_eq!(out.version, rec.version);
+            let expected: Vec<ReadResult> = rec.reads.iter().map(to_result).collect();
+            assert_eq!(out.reads, expected, "reads of {:?}", out.txn);
+        }
+        for (txn, unique, got) in &reads {
+            let expected: Vec<ReadResult> =
+                unique.iter().map(|&k| twin_read(&twin, *txn, k)).collect();
+            assert_eq!(got, &expected, "reads of {txn:?}");
+        }
+        // Vacuity guards: advancement ran, and the inquiries carried
+        // journals with entries in them.
+        assert!(engine.stats().advancements > 10);
+        assert!(submits
+            .iter()
+            .flat_map(|o| &o.reads)
+            .any(|r| r.value.as_journal().is_some_and(|j| !j.is_empty())));
     }
 
     #[test]

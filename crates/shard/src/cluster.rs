@@ -390,6 +390,24 @@ impl ShardedCluster {
             .expect("client occupies the last actor slot of the partition")
     }
 
+    /// Remove and return the finished record of `txn` from the client of
+    /// its root's partition (`txn.origin`). `None` when the record is
+    /// unknown or still in flight, or when the origin is not a database
+    /// node. The precondition of [`ClientActor::take_finished`] applies:
+    /// call it only after [`run`](Self::run) has reached quiescence.
+    ///
+    /// [`ClientActor::take_finished`]: threev_core::client::ClientActor::take_finished
+    pub fn take_finished(&mut self, txn: TxnId) -> Option<TxnRecord> {
+        if !self.is_db_node(txn.origin) {
+            return None;
+        }
+        let p = self.topo.partition_of(txn.origin);
+        match self.sims.get_mut(p.index())?.actors_mut().last_mut()? {
+            ClusterActor::Client(c) => c.take_finished(txn),
+            _ => None,
+        }
+    }
+
     /// All transaction records, merged across partitions in submission
     /// order (ties broken by partition index).
     pub fn records(&self) -> Vec<TxnRecord> {
@@ -745,6 +763,65 @@ mod tests {
             via_external.submit_external(1, &foreign, None),
             Err(SubmitError::UnknownNode(_))
         ));
+    }
+
+    /// A cross-partition tree's finished record is taken from its root's
+    /// partition and nowhere else; ids that name no database node, or no
+    /// registered transaction, come back `None` without panicking.
+    #[test]
+    fn take_finished_routes_by_root_partition() {
+        let topo = Topology::new(2, 2);
+        let p0 = PartitionId(0);
+        let p1 = PartitionId(1);
+        let all: Vec<NodeId> = topo.nodes(p0).into_iter().chain(topo.nodes(p1)).collect();
+        let schema = schema(&all);
+        let cross = visit(&[topo.nodes(p0)[1], topo.nodes(p1)[0]], 3);
+        let local = visit(&[topo.nodes(p1)[1]], 4);
+        let arrivals = vec![
+            vec![Arrival::at(ms(1), cross)],
+            vec![Arrival::at(ms(1), local)],
+        ];
+        let mut cluster = ShardedCluster::new(&schema, ShardedConfig::new(2, 2).seed(13), arrivals);
+        assert!(matches!(
+            cluster.run(SimTime::MAX),
+            ShardOutcome::Quiescent(_)
+        ));
+        assert!(cluster.cross_messages() > 0, "tree must cross partitions");
+        let untouched: Vec<String> = cluster
+            .partition_records(p1)
+            .iter()
+            .map(|r| format!("{r:?}"))
+            .collect();
+        let txn = cluster.partition_records(p0)[0].id;
+        assert_eq!(txn.origin, topo.nodes(p0)[1]);
+
+        let rec = cluster.take_finished(txn).expect("finished cross record");
+        assert_eq!(rec.id, txn);
+        assert_eq!(rec.status, TxnStatus::Committed);
+        assert!(cluster.partition_records(p0).is_empty());
+        let after: Vec<String> = cluster
+            .partition_records(p1)
+            .iter()
+            .map(|r| format!("{r:?}"))
+            .collect();
+        assert_eq!(after, untouched, "other partitions' clients are untouched");
+        assert!(cluster.take_finished(txn).is_none(), "taken once");
+
+        for origin in [
+            topo.nodes(p0)[0],
+            topo.coordinator(p0),
+            topo.client(p0),
+            topo.coordinator(p1),
+            topo.client(p1),
+            threev_model::gauge_node(p1),
+            NodeId(999),
+        ] {
+            assert!(
+                cluster.take_finished(TxnId::new(0, origin)).is_none(),
+                "origin {origin} has no record to take"
+            );
+        }
+        assert_eq!(cluster.partition_records(p1).len(), 1);
     }
 
     /// Deterministic replay: same seed, same outcome, across the shuttle.
