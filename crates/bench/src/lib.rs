@@ -5,8 +5,6 @@
 //!   a uniform [`engines::EngineReport`];
 //! * [`table1`] — the scripted replay of the paper's Table 1 / Figure 2
 //!   example execution at sites *p*, *q*, *s*;
-//! * [`prof`] — the monotonic clock injected into the engine's stage
-//!   profiler and the `BENCH_hotpath.json` breakdown rendering;
 //! * [`report`] — the shared `BENCH_*.json` writer the probe benches use
 //!   to leave their numbers at the repository root;
 //! * the `exp_*` binaries in `src/bin/` regenerate every experiment row
@@ -17,6 +15,5 @@
 #![warn(clippy::all)]
 
 pub mod engines;
-pub mod prof;
 pub mod report;
 pub mod table1;

@@ -3,7 +3,7 @@
 //!
 //! The workspace deliberately carries no serde; this module is the one
 //! place the hand-rolled JSON formatting lives, so the probe benches
-//! (`benches/batching.rs`, `benches/faults.rs`, `benches/recovery.rs`)
+//! (`benches/faults.rs`, `benches/recovery.rs`, `benches/storage.rs`)
 //! stay in lock-step on layout instead of each keeping its own copy of
 //! the `format!` + `fs::write` boilerplate.
 

@@ -90,24 +90,6 @@ impl ClusterConfig {
         self.protocol.node.topology = topology;
         self
     }
-
-    /// Split every node's store and lock table into `n` key stripes
-    /// (intra-node sharded execution; `1` is the classic engine). The
-    /// `stripe_equivalence` suite pins striped runs to the unsharded
-    /// fingerprint.
-    #[must_use]
-    pub fn stripes(mut self, n: u16) -> Self {
-        self.protocol.node.stripes = n;
-        self
-    }
-
-    /// Enable hot-path stage profiling on every node (observationally
-    /// free; see `threev_core::node::profile`).
-    #[must_use]
-    pub fn profile(mut self, mode: crate::node::ProfileMode) -> Self {
-        self.protocol.node.profile = mode;
-        self
-    }
 }
 
 /// One actor of the cluster (dispatch enum).
@@ -359,8 +341,7 @@ impl ThreeVCluster {
             .expect("coordinator occupies actor slot n")
     }
 
-    /// Aggregated storage statistics across nodes (each node's stats are
-    /// merged across its store stripes).
+    /// Aggregated storage statistics across nodes.
     pub fn store_stats(&self) -> Vec<StoreStats> {
         (0..self.n_nodes)
             .map(|i| self.node(i).store_stats())

@@ -3,12 +3,10 @@
 //! The storage crate's [`wire`](threev_storage::wire) module owns the byte
 //! discipline (little-endian scalars, length-prefixed collections, framed
 //! envelopes with an FNV-1a checksum); this module extends it to the
-//! *message plane* so hot-path [`Msg`] values can be encoded once at the
-//! sender and travel as framed byte slices instead of cloned enum trees.
-//! The threaded runtime's framed delivery mode
-//! (`threev_runtime::ThreadedRun::run_framed`) shares one encoding per
-//! send across fault-plane duplicates and decodes borrowed slices at the
-//! receiver.
+//! *message plane*, so a [`Msg`] can be written as one self-contained,
+//! checksummed frame and read back. No in-process driver ships messages as
+//! bytes; the codec is kept as the encoding a multi-process transport would
+//! use, and the benchmark measures its per-message cost and size.
 //!
 //! Robustness contract (pinned by `tests/codec_props.rs`): `decode` never
 //! panics — truncated, bit-flipped, or synthesised garbage input yields
@@ -445,16 +443,6 @@ impl Msg {
             return Err(WireError("trailing bytes after Msg payload"));
         }
         Ok(msg)
-    }
-}
-
-impl threev_sim::WireCodec for Msg {
-    fn encode_wire(&self) -> Result<Vec<u8>, &'static str> {
-        self.encode().map_err(|e| e.0)
-    }
-
-    fn decode_wire(bytes: &[u8]) -> Result<Self, &'static str> {
-        Msg::decode(bytes).map_err(|e| e.0)
     }
 }
 

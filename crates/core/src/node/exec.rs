@@ -16,7 +16,7 @@ use threev_storage::{LockDecision, LockMode, StoreError};
 
 use crate::msg::Msg;
 
-use super::{Job, NcCoord, NcRootCtx, Parked, Stage, SubTracker, ThreeVNode, TimerAction};
+use super::{Job, NcCoord, NcRootCtx, Parked, SubTracker, ThreeVNode, TimerAction};
 
 impl ThreeVNode {
     // ------------------------------------------------------ job execution
@@ -52,10 +52,7 @@ impl ThreeVNode {
         // anything: a malformed subtransaction (unknown key, no visible
         // base version, type-mismatched op) terminates its subtree cleanly
         // instead of panicking the node.
-        let t0 = self.prof_start();
-        let validated = self.validate_plan(&job);
-        self.prof_end(Stage::Validate, t0);
-        if let Err(e) = validated {
+        if let Err(e) = self.validate_plan(&job) {
             self.reject_malformed(ctx, &job, e);
             return;
         }
@@ -132,13 +129,11 @@ impl ThreeVNode {
     fn acquire_and_run(&mut self, ctx: &mut Ctx<'_, Msg>, mut parked: Parked) {
         while parked.next < parked.keys.len() {
             let (key, mode) = parked.keys[parked.next];
-            let t0 = self.prof_start();
             // lint-allow(wal-hook-coverage): logging is decision-dependent —
             // only a direct Granted outcome touches durable holder state,
             // and that arm writes WalOp::LockAcquire itself; Waiting/Abort
             // outcomes mutate volatile wait-queue state only.
             let decision = self.locks.acquire(key, mode, parked.job.txn);
-            self.prof_end(Stage::Lock, t0);
             match decision {
                 LockDecision::Granted => {
                     // Logged only on a *direct* grant: promotions out of a
@@ -313,41 +308,10 @@ impl ThreeVNode {
         self.finish_subtree(ctx, sub_id);
     }
 
-    /// Classify a job for the striped-execution stats: does every local
-    /// step land in one store stripe? Pure observation — stripe routing is
-    /// per-key inside the store, so correctness never depends on this —
-    /// but the share of stripe-local jobs is the parallelism headroom a
-    /// multi-core delivery layer could exploit, and `BENCH_hotpath.json`
-    /// reports it.
-    fn classify_stripes(&mut self, job: &Job) {
-        if self.store.n_stripes() <= 1 {
-            return;
-        }
-        let mut first: Option<usize> = None;
-        let mut spanning = false;
-        for step in &job.plan.steps {
-            let s = self.store.stripe_of_key(step.key());
-            match first {
-                None => first = Some(s),
-                Some(f) if f != s => {
-                    spanning = true;
-                    break;
-                }
-                Some(_) => {}
-            }
-        }
-        if spanning {
-            self.stats.stripe_spanning_jobs += 1;
-        } else {
-            self.stats.stripe_local_jobs += 1;
-        }
-    }
-
     /// Execute the local steps, spawn children, and complete — §4.1 steps
     /// 3–6 (well-behaved), §4.2 (queries), §5 steps 3–5 (non-commuting).
     fn execute_job(&mut self, ctx: &mut Ctx<'_, Msg>, mut job: Job) {
         self.stats.subtxns_executed += 1;
-        self.classify_stripes(&job);
         let mut reads: Vec<ReadObservation> = Vec::new();
         let mut clean = true;
 
@@ -358,9 +322,7 @@ impl ThreeVNode {
                         OpStep::Read(key) => {
                             // Validated by the pre-pass; a failure here is a
                             // store defect. Skip the step and report unclean.
-                            let t0 = self.prof_start();
                             let read = self.store.read_visible(*key, job.version);
-                            self.prof_end(Stage::Store, t0);
                             let Ok((ver, value)) = read else {
                                 self.stats.invariant_breaches += 1;
                                 clean = false;
@@ -382,9 +344,7 @@ impl ThreeVNode {
                                 op: *op,
                                 txn: job.txn,
                             });
-                            let t0 = self.prof_start();
                             let upd = self.store.update(*key, job.version, *op, job.txn, None);
-                            self.prof_end(Stage::Store, t0);
                             let Ok(out) = upd else {
                                 self.stats.invariant_breaches += 1;
                                 clean = false;
@@ -419,7 +379,6 @@ impl ThreeVNode {
                 // §5 step 4: abort if any accessed item already exists in a
                 // version above V(K); otherwise update x(V(K)) only.
                 let mut doomed = false;
-                let t0 = self.prof_start();
                 for step in &job.plan.steps {
                     // Validated keys exist; an error here is a store defect —
                     // doom conservatively rather than panic.
@@ -435,7 +394,6 @@ impl ThreeVNode {
                         break;
                     }
                 }
-                self.prof_end(Stage::Store, t0);
                 if doomed {
                     self.stats.nc_stale_aborts += 1;
                     self.doom_nc(ctx, &job);
@@ -446,9 +404,7 @@ impl ThreeVNode {
                 for step in &job.plan.steps {
                     match step {
                         OpStep::Read(key) => {
-                            let t0 = self.prof_start();
                             let read = self.store.read_visible(*key, job.version);
-                            self.prof_end(Stage::Store, t0);
                             let Ok((ver, value)) = read else {
                                 // Post-validation failure: doom the NC
                                 // transaction so 2PC aborts it globally.
@@ -469,7 +425,6 @@ impl ThreeVNode {
                                 op: *op,
                                 txn: job.txn,
                             });
-                            let t0 = self.prof_start();
                             let upd = self.store.update(
                                 *key,
                                 job.version,
@@ -477,7 +432,6 @@ impl ThreeVNode {
                                 job.txn,
                                 Some(&mut local.undo),
                             );
-                            self.prof_end(Stage::Store, t0);
                             if upd.is_err() {
                                 // Undo already holds the priors of anything
                                 // applied so far; dooming lets the 2PC abort
@@ -528,9 +482,7 @@ impl ThreeVNode {
                     version: job.version,
                     to: child.node,
                 });
-                let t0 = self.prof_start();
                 self.counters.inc_request(job.version, child.node);
-                self.prof_end(Stage::Counter, t0);
                 if ctx.tracing() {
                     let r = self.counters.request(job.version, child.node);
                     let (me, v, to) = (self.me, job.version, child.node);
@@ -582,9 +534,7 @@ impl ThreeVNode {
                 version: job.version,
                 from: job.source,
             });
-            let t0 = self.prof_start();
             self.counters.inc_completion(job.version, job.source);
-            self.prof_end(Stage::Counter, t0);
             if ctx.tracing() {
                 let c = self.counters.completion(job.version, job.source);
                 let (me, v, src) = (self.me, job.version, job.source);
@@ -844,9 +794,7 @@ impl ThreeVNode {
                     version,
                     to: self.me,
                 });
-                let t0 = self.prof_start();
                 self.counters.inc_request(version, self.me);
-                self.prof_end(Stage::Counter, t0);
                 if ctx.tracing() {
                     ctx.trace(|| format!("read tx {txn} arrives (version {version})"));
                 }
@@ -870,9 +818,7 @@ impl ThreeVNode {
                     version,
                     to: self.me,
                 });
-                let t0 = self.prof_start();
                 self.counters.inc_request(version, self.me);
-                self.prof_end(Stage::Counter, t0);
                 if ctx.tracing() {
                     ctx.trace(|| format!("update tx {txn} arrives (version {version})"));
                 }
@@ -1092,9 +1038,7 @@ impl ThreeVNode {
                     });
                 }
             }
-            let t0 = self.prof_start();
             self.store.rollback(undo);
-            self.prof_end(Stage::Store, t0);
         }
         // §5 step 6: completion counters move atomically with the decision.
         for (version, source) in local.pending_completions.drain(..) {
@@ -1106,9 +1050,7 @@ impl ThreeVNode {
         }
         if self.cfg.locks_enabled {
             self.wal(WalOp::LockRelease { txn });
-            let t0 = self.prof_start();
             let grants = self.locks.release_all(txn);
-            self.prof_end(Stage::Lock, t0);
             self.process_grants(ctx, grants);
         }
     }
@@ -1116,9 +1058,7 @@ impl ThreeVNode {
     pub(super) fn handle_release_locks(&mut self, ctx: &mut Ctx<'_, Msg>, txn: TxnId) {
         if self.cfg.locks_enabled {
             self.wal(WalOp::LockRelease { txn });
-            let t0 = self.prof_start();
             let grants = self.locks.release_all(txn);
-            self.prof_end(Stage::Lock, t0);
             self.process_grants(ctx, grants);
         }
         // Footprints are kept: a compensating subtransaction may still be in

@@ -37,7 +37,6 @@
 
 mod exec;
 mod gc;
-pub mod profile;
 mod version_state;
 
 use std::collections::{BTreeMap, BTreeSet};
@@ -51,15 +50,13 @@ use threev_model::{
     VersionNo,
 };
 use threev_sim::{Actor, Ctx, SimDuration};
-use threev_storage::{LockMode, Store, StoreStats, StripedLocks, StripedStore, UndoLog};
+use threev_storage::{AnyBackend, LockMode, LockTable, Store, StoreStats, UndoLog};
 // Re-exported so downstream crates (shard, runtime, binaries) can select a
 // backend without depending on threev-storage directly.
 pub use threev_storage::BackendConfig;
 
 use crate::counters::CounterTable;
 use crate::msg::Msg;
-use profile::ProfState;
-pub use profile::{ClockFn, ProfileMode, Stage, StageBreakdown, N_STAGES, STAGES};
 
 /// How (and whether) a node persists its protocol state.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -112,17 +109,6 @@ pub struct NodeConfig {
     /// recognise foreign senders, re-root their subtransactions, and keep
     /// gauge-keyed counter rows per peer partition.
     pub topology: Topology,
-    /// Intra-node key stripes for the store and lock table (ROADMAP
-    /// item 3). `1` (the default) is the classic unsharded engine,
-    /// bit-identical to before the stripe layer existed; `N > 1` splits
-    /// the version chains and lock states into N independent stripes by a
-    /// fixed key hash — exact-equivalent by the paper's disjoint-key
-    /// commutativity argument (see `threev_storage::stripe`), pinned by
-    /// `tests/stripe_equivalence.rs`.
-    pub stripes: u16,
-    /// Hot-path stage profiling (see [`profile`]). Off by default and
-    /// observationally free when on.
-    pub profile: ProfileMode,
 }
 
 impl Default for NodeConfig {
@@ -134,8 +120,6 @@ impl Default for NodeConfig {
             durability: DurabilityMode::None,
             backend: BackendConfig::Mem,
             topology: Topology::single(),
-            stripes: 1,
-            profile: ProfileMode::Off,
         }
     }
 }
@@ -194,13 +178,6 @@ pub struct NodeStats {
     pub recoveries: u64,
     /// WAL records replayed across all recoveries.
     pub wal_replayed: u64,
-    /// Subtransactions whose step keys all hashed to one store stripe
-    /// (the stripe-independent fast class; only counted when the node
-    /// runs more than one stripe).
-    pub stripe_local_jobs: u64,
-    /// Subtransactions touching keys in two or more stripes (these rely
-    /// on the single-message-at-a-time ordered path).
-    pub stripe_spanning_jobs: u64,
 }
 
 /// A unit of runnable work: one subtransaction with its full context.
@@ -322,9 +299,9 @@ pub struct ThreeVNode {
     down: bool,
     vu: VersionNo,
     vr: VersionNo,
-    store: StripedStore,
+    store: Store<AnyBackend>,
     counters: CounterTable,
-    locks: StripedLocks,
+    locks: LockTable,
     spawn_seq: u64,
     trackers: BTreeMap<SubtxnId, SubTracker>,
     footprints: BTreeMap<TxnId, Footprint>,
@@ -349,10 +326,6 @@ pub struct ThreeVNode {
     /// WAL + checkpoint handle. Survives a crash (it models the disk);
     /// everything else in the struct is volatile.
     dur: Option<Durability>,
-    /// Stage profiling state (`None` unless `cfg.profile` is `On`).
-    /// Write-only from the engine's perspective: nothing in the protocol
-    /// ever reads it, so profiling cannot perturb behaviour.
-    prof: Option<Box<ProfState>>,
 }
 
 impl ThreeVNode {
@@ -361,16 +334,6 @@ impl ThreeVNode {
     /// initial checkpoint is taken immediately, so recovery always has a
     /// base snapshot to start from.
     pub fn new(schema: &Schema, me: NodeId, cfg: NodeConfig) -> Self {
-        if cfg.stripes > 1
-            && cfg.durability != DurabilityMode::None
-            && matches!(cfg.backend, BackendConfig::Paged { .. })
-        {
-            // lint-allow(panic-hygiene): construction-time config error.
-            // Paged WAL replay recovers directly into the single page
-            // store; striped paged recovery is not wired yet and failing
-            // loudly beats silently dropping stripes.
-            panic!("{me}: stripes > 1 with a durable paged backend is unsupported");
-        }
         let dur = match &cfg.durability {
             DurabilityMode::None => None,
             DurabilityMode::Memory { checkpoint_every } => Some(Durability::new(
@@ -394,13 +357,11 @@ impl ThreeVNode {
         // lint-allow(panic-hygiene): construction-time config error
         // (unopenable page-store directory), same fail-stop rationale as
         // the WAL directory above.
-        let store = StripedStore::from_schema_on_config(&cfg.backend, schema, me, cfg.stripes)
+        let backend = cfg
+            .backend
+            .open(me)
             .unwrap_or_else(|e| panic!("{me}: cannot open storage backend {:?}: {e}", cfg.backend));
-        let prof = match cfg.profile {
-            ProfileMode::Off => None,
-            ProfileMode::On(clock) => Some(Box::new(ProfState::new(clock))),
-        };
-        let stripes = cfg.stripes;
+        let store = Store::from_schema_on(backend, schema, me);
         let mut node = ThreeVNode {
             me,
             cfg,
@@ -409,7 +370,7 @@ impl ThreeVNode {
             vr: VersionNo(0),
             store,
             counters: CounterTable::new(),
-            locks: StripedLocks::new(stripes),
+            locks: LockTable::new(),
             spawn_seq: 0,
             trackers: BTreeMap::new(),
             footprints: BTreeMap::new(),
@@ -424,7 +385,6 @@ impl ThreeVNode {
             next_timer: 0,
             stats: NodeStats::default(),
             dur,
-            prof,
         };
         // A file backend may already hold a previous incarnation's state
         // (process restart): recover it rather than overwrite it.
@@ -446,14 +406,14 @@ impl ThreeVNode {
         self.vr
     }
 
-    /// The node's (possibly striped) store.
-    pub fn store(&self) -> &StripedStore {
+    /// The node's store.
+    pub fn store(&self) -> &Store<AnyBackend> {
         &self.store
     }
 
-    /// Storage statistics, merged across stripes.
+    /// Storage statistics.
     pub fn store_stats(&self) -> StoreStats {
-        self.store.stats()
+        self.store.stats().clone()
     }
 
     /// Protocol statistics.
@@ -467,31 +427,8 @@ impl ThreeVNode {
     }
 
     /// Lock table (read access for invariant checks).
-    pub fn locks(&self) -> &StripedLocks {
+    pub fn locks(&self) -> &LockTable {
         &self.locks
-    }
-
-    /// Accumulated hot-path stage breakdown, if profiling is on.
-    pub fn stage_breakdown(&self) -> Option<&StageBreakdown> {
-        self.prof.as_deref().map(|p| &p.breakdown)
-    }
-
-    /// Start a profiled span: reads the injected clock iff profiling is
-    /// on. Pair with [`ThreeVNode::prof_end`].
-    #[inline]
-    pub(super) fn prof_start(&self) -> Option<u64> {
-        self.prof.as_deref().map(|p| (p.clock)())
-    }
-
-    /// Close a profiled span opened by [`ThreeVNode::prof_start`],
-    /// attributing the elapsed clock units to `stage`.
-    #[inline]
-    pub(super) fn prof_end(&mut self, stage: Stage, t0: Option<u64>) {
-        if let (Some(t0), Some(p)) = (t0, self.prof.as_deref_mut()) {
-            let now = (p.clock)();
-            p.breakdown.ns[stage as usize] += now.saturating_sub(t0);
-            p.breakdown.calls[stage as usize] += 1;
-        }
     }
 
     /// Durability-layer statistics, if durability is enabled.
@@ -556,13 +493,9 @@ impl ThreeVNode {
     /// at least as new as the volatile state (write-ahead rule).
     #[inline]
     pub(super) fn wal(&mut self, op: WalOp) {
-        if self.dur.is_some() {
-            let t0 = self.prof_start();
-            if let Some(d) = self.dur.as_mut() {
-                d.log(op);
-                self.stats.wal_records += 1;
-            }
-            self.prof_end(Stage::Wal, t0);
+        if let Some(d) = self.dur.as_mut() {
+            d.log(op);
+            self.stats.wal_records += 1;
         }
     }
 
@@ -654,9 +587,9 @@ impl ThreeVNode {
         // be circular. The placeholder is an empty mem store even under a
         // paged config: the page files survive on disk and recovery
         // reopens them.
-        self.store = StripedStore::empty_mem(self.me);
+        self.store = Store::empty(self.me).into_any();
         self.counters = CounterTable::new();
-        self.locks = StripedLocks::new(1);
+        self.locks = LockTable::new();
         self.vu = VersionNo(1);
         self.vr = VersionNo(0);
         self.trackers.clear();
@@ -693,24 +626,12 @@ impl ThreeVNode {
         let Some(state) = d.recover() else {
             return false;
         };
-        // The recovered image is the merged key-sorted view; a striped
-        // node re-splits it by the same key hash it routes with.
-        let store = if self.cfg.stripes > 1 {
-            StripedStore::from_merged_parts(self.me, state.store.export_parts(), self.cfg.stripes)
-        } else {
-            StripedStore::from_single(state.store.into_any())
-        };
-        let locks = if self.cfg.stripes > 1 {
-            StripedLocks::from_merged_parts(state.locks.export_parts(), self.cfg.stripes)
-        } else {
-            StripedLocks::from_single(state.locks)
-        };
         // lint-allow(wal-hook-coverage): recovery installs state *read
         // from* the checkpoint+WAL; re-logging the install would duplicate
         // every record on the next recovery (replay is LSN-idempotent but
         // the log would grow unboundedly).
-        self.store = store;
-        self.locks = locks;
+        self.store = state.store.into_any();
+        self.locks = state.locks;
         self.counters = CounterTable::from_parts(state.counters);
         self.vu = state.vu;
         self.vr = state.vr;
@@ -739,21 +660,19 @@ impl ThreeVNode {
                 .unwrap_or_else(|e| panic!("{}: cannot reopen storage backend: {e}", self.me));
             // lint-allow(wal-hook-coverage): recovery installs state read
             // back from disk; logging the install would duplicate records.
-            self.store = StripedStore::from_single(Store::on_backend(backend, self.me));
+            self.store = Store::on_backend(backend, self.me);
         }
         let store_lsn = self.store.durable_lsn().unwrap_or(0);
         let Some(d) = self.dur.as_mut() else {
             return false;
         };
-        // Durable paged nodes are single-stripe (enforced at
-        // construction), so replay targets the one underlying store.
-        let Some(state) = d.recover_paged(self.store.single_mut(), store_lsn) else {
+        let Some(state) = d.recover_paged(&mut self.store, store_lsn) else {
             return false;
         };
         // Control state always recovers from checkpoint + log regardless
         // of backend; only the chains live in the page files.
         // lint-allow(wal-hook-coverage): recovery install, as above.
-        self.locks = StripedLocks::from_single(state.locks);
+        self.locks = state.locks;
         self.counters = CounterTable::from_parts(state.counters);
         self.vu = state.vu;
         self.vr = state.vr;
@@ -777,16 +696,8 @@ impl ThreeVNode {
         id
     }
 
-    /// Route one protocol message to its handler. The profiled
-    /// [`Stage::Dispatch`] span is the whole-message envelope; the
-    /// validate/lock/store/counter/WAL stages nest inside it.
+    /// Route one protocol message to its handler.
     fn dispatch(&mut self, ctx: &mut Ctx<'_, Msg>, from: NodeId, msg: Msg) {
-        let t0 = self.prof_start();
-        self.dispatch_inner(ctx, from, msg);
-        self.prof_end(Stage::Dispatch, t0);
-    }
-
-    fn dispatch_inner(&mut self, ctx: &mut Ctx<'_, Msg>, from: NodeId, msg: Msg) {
         match msg {
             Msg::Submit {
                 txn,

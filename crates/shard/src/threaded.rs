@@ -66,6 +66,8 @@ pub fn run_sharded_threaded(
     drain: Duration,
 ) -> (Vec<TxnRecord>, ThreadedReport) {
     let actors = build_sharded_actors(schema, cfg, arrivals);
+    // lint-allow(panic-hygiene): `run` panics only to re-raise an actor
+    // thread that already panicked; the run has failed by then.
     let (actors, report) = ThreadedRun::run(actors, cfg.sim.clone(), duration, drain);
     let mut records = Vec::new();
     for actor in actors {

@@ -24,14 +24,12 @@
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 
-pub mod codec;
 pub mod kernel;
 pub mod network;
 pub mod time;
 pub mod trace;
 pub mod transport;
 
-pub use codec::WireCodec;
 pub use kernel::{
     Actor, Ctx, EarliestScheduler, EnabledEvent, EnabledKind, QuiesceOutcome, Scheduler, SimConfig,
     SimStats, Simulation,

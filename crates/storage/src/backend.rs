@@ -248,28 +248,6 @@ impl BackendConfig {
         }
     }
 
-    /// Open the configured backend for one *stripe* of `node` (intra-node
-    /// key-striped execution; see [`crate::stripe`]). With `total <= 1`
-    /// this is exactly [`BackendConfig::open`] — same directory name — so
-    /// unsharded nodes keep their on-disk layout. A striped paged node
-    /// opens `store-node-<id>-s<idx>` per stripe.
-    ///
-    /// # Errors
-    /// Propagates I/O and page-file corruption errors from
-    /// [`PagedBackend::open`]; the `Mem` arm never fails.
-    pub fn open_stripe(&self, node: NodeId, idx: u16, total: u16) -> io::Result<AnyBackend> {
-        if total <= 1 {
-            return self.open(node);
-        }
-        match self {
-            BackendConfig::Mem => Ok(AnyBackend::Mem(MemBackend::default())),
-            BackendConfig::Paged { dir } => {
-                let stripe_dir = dir.join(format!("store-node-{}-s{idx}", node.0));
-                Ok(AnyBackend::Paged(PagedBackend::open(&stripe_dir)?))
-            }
-        }
-    }
-
     /// A `Paged` config rooted at a fresh scratch directory under the
     /// system temp dir, namespaced by `tag`, the process id, and a
     /// counter, so repeated runs within one process never see each

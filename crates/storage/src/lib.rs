@@ -37,7 +37,6 @@ pub mod locks;
 pub mod paged;
 pub mod record;
 pub mod store;
-pub mod stripe;
 pub mod undo;
 pub mod wire;
 
@@ -46,5 +45,4 @@ pub use locks::{LockDecision, LockMode, LockTable};
 pub use paged::{PageAllocator, PagedBackend, PAGE_SIZE};
 pub use record::{UpdateOutcome, VersionedRecord};
 pub use store::{Store, StoreError, StoreStats};
-pub use stripe::{stripe_of, StripedLocks, StripedStore};
 pub use undo::UndoLog;

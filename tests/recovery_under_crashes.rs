@@ -28,6 +28,7 @@ use threev::model::{
     Key, KeyDecl, NodeId, Schema, SubtxnPlan, TxnPlan, UpdateOp, Value, VersionNo,
 };
 use threev::sim::{LatencyModel, NodeCrash, QuiesceOutcome, SimDuration, SimTime};
+use threev::storage::BackendConfig;
 
 const N_NODES: u16 = 3;
 /// The node that gets crash-injected (a participant, not the root).
@@ -138,8 +139,13 @@ fn config(seed: u64) -> ClusterConfig {
 /// Run the workload, trigger one advancement at ms(30), and drive the
 /// cluster to quiescence. `crashes` is empty for the clean reference run.
 fn run(seed: u64, crashes: Vec<NodeCrash>) -> Outcome {
+    run_on(seed, crashes, BackendConfig::Mem)
+}
+
+/// [`run`] with the version chains kept in `backend`.
+fn run_on(seed: u64, crashes: Vec<NodeCrash>, backend: BackendConfig) -> Outcome {
     let crashed = !crashes.is_empty();
-    let mut cfg = config(seed);
+    let mut cfg = config(seed).backend(backend);
     cfg.sim.faults.crashes = crashes;
     let mut cluster = ThreeVCluster::new(&schema(), cfg, arrivals());
     cluster.run_until(ms(30));
@@ -270,6 +276,31 @@ fn crash_spanning_advancement_rejoins_via_skew() {
         }],
     );
     assert!(crashed.recoveries >= 1);
+    assert_eq!(clean.stores, crashed.stores);
+}
+
+/// Paged-backend recovery: the crash drops the node's handle on its page
+/// files, and restart reopens them and replays the WAL tail above their
+/// durable LSN. A node crashed mid-phase-2 over page files must converge
+/// to the same stores as the clean in-memory run.
+#[test]
+fn paged_crash_mid_phase2_recovers_and_converges() {
+    let seed = 5u64;
+    let clean = run(seed, Vec::new());
+    let dir = std::env::temp_dir().join(format!("threev-paged-crash-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let crashed = run_on(
+        seed,
+        vec![NodeCrash {
+            node: CRASHED,
+            at: mid_phase(&clean, 2),
+            restart_after: SimDuration::from_millis(3),
+        }],
+        BackendConfig::Paged { dir: dir.clone() },
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(crashed.recoveries >= 1, "node {CRASHED} never recovered");
+    assert_eq!(clean.committed, crashed.committed);
     assert_eq!(clean.stores, crashed.stores);
 }
 
