@@ -5,8 +5,6 @@
 //!   a uniform [`engines::EngineReport`];
 //! * [`table1`] — the scripted replay of the paper's Table 1 / Figure 2
 //!   example execution at sites *p*, *q*, *s*;
-//! * [`report`] — the shared `BENCH_*.json` writer the probe benches use
-//!   to leave their numbers at the repository root;
 //! * the `exp_*` binaries in `src/bin/` regenerate every experiment row
 //!   (see `EXPERIMENTS.md` at the workspace root).
 
@@ -15,5 +13,4 @@
 #![warn(clippy::all)]
 
 pub mod engines;
-pub mod report;
 pub mod table1;

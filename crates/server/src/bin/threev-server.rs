@@ -1,11 +1,12 @@
 //! `threev-server` — serve a sharded 3V cluster over TCP.
 //!
 //! The served schema is the sharded hospital schema for the requested
-//! topology (one department per database node), so `threev-load` pointed
-//! at the same `--partitions`/`--nodes` generates matching plans.
+//! topology (one department per database node), so plans from
+//! `threev_server::load::schedule` for the same `--partitions`/`--nodes`
+//! match it.
 //!
-//! Shut the server down with a `Shutdown` request over the wire (e.g.
-//! `threev-load` does this when it spawned the server itself).
+//! Shut the server down with a `Shutdown` request over the wire
+//! (`Client::shutdown`).
 
 use std::process::exit;
 
@@ -84,7 +85,6 @@ fn run() -> Result<(), String> {
         duration: SimDuration::from_millis(1),
         read_pct: 0,
         seed: args.seed,
-        connections: 1,
     }
     .hospital()
     .schema();

@@ -4,16 +4,17 @@
 //! calls; this one puts a wire in between. It hosts the deterministic
 //! sharded cluster behind a TCP server speaking a length-prefixed,
 //! checksummed frame protocol (built on `threev-storage`'s wire codec),
-//! ships a thin blocking client library, and carries the open-loop load
-//! harness that measures the latency a real user of the protocol would
-//! see.
+//! ships a thin blocking client library, and describes the hospital load
+//! the server is driven with. Latency over the wire is measured by the
+//! repository's benchmark (`benchmark/`), not by this crate.
 //!
 //! * [`proto`] — request/response frames, version negotiation, framed I/O;
 //! * [`engine`] — the command-driven wrapper around `ShardedCluster` that
 //!   executes submissions in deterministic virtual time;
 //! * [`server`] — acceptor + bounded worker pool + single engine thread;
 //! * [`client`] — the blocking client library;
-//! * [`load`] — Poisson open-loop load generation and latency percentiles.
+//! * [`load`] — the served hospital workload, its open-loop arrival
+//!   schedule, and the latency percentile rule.
 //!
 //! Threading model and backpressure contract are documented in DESIGN.md
 //! ("Network front end"). The socket layer is intentionally *not* in the

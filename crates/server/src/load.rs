@@ -1,32 +1,16 @@
-//! Open-loop load generation over real sockets.
+//! The hospital load a server is driven with.
 //!
-//! The harness replays a [`ShardedHospital`] workload against a running
-//! server: every arrival keeps the virtual timestamp the workload's
-//! Poisson process assigned it (`threev-workload`'s arrival machinery),
-//! and the sender fires it at `epoch + that offset` of *wall* time —
-//! open-loop, so a slow server does not slow the offered load down, it
-//! just grows the queueing delay. Latency is therefore measured from the
-//! *scheduled* instant, not the send instant: it includes the time a
-//! request spent waiting behind a saturated engine, which is exactly the
-//! latency a real client would see.
-//!
-//! Senders round-robin the arrival list over `connections` independent
-//! client connections. [`Response::Busy`] rejections are recorded, not
-//! retried — the report shows how much offered load the backpressure
-//! contract shed.
-//!
-//! [`Response::Busy`]: crate::proto::Response::Busy
+//! [`LoadConfig`] names a [`ShardedHospital`] workload over the served
+//! topology; [`schedule`] flattens its arrivals into one open-loop list of
+//! `(offset_us, plan)` pairs, each keeping the virtual timestamp the
+//! workload's Poisson process assigned it. The server binary takes its
+//! schema from the same configuration, so plans generated here always match
+//! what is served. [`percentile`] is the rank rule latency reports use.
 
-use std::net::SocketAddr;
-use std::time::Instant;
-
-use threev_bench::report::{JsonObject, JsonValue};
 use threev_model::{Topology, TxnPlan};
 use threev_shard::ShardedHospital;
 use threev_sim::SimDuration;
 use threev_workload::HospitalWorkload;
-
-use crate::client::{Client, ClientError};
 
 /// Shape of the generated load.
 #[derive(Clone, Debug)]
@@ -43,8 +27,6 @@ pub struct LoadConfig {
     pub read_pct: u8,
     /// Workload RNG seed.
     pub seed: u64,
-    /// Client connections the senders spread over.
-    pub connections: usize,
 }
 
 impl LoadConfig {
@@ -79,74 +61,6 @@ pub fn schedule(hospital: &ShardedHospital) -> Vec<(u64, TxnPlan)> {
     all
 }
 
-/// How one request ended.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum SampleOutcome {
-    Committed,
-    Aborted,
-    Busy,
-    Error,
-}
-
-/// One fired request.
-#[derive(Clone, Copy, Debug)]
-struct Sample {
-    latency_us: u64,
-    done_offset_us: u64,
-    outcome: SampleOutcome,
-}
-
-/// Aggregate result of one open-loop run.
-#[derive(Clone, Debug)]
-pub struct LoadReport {
-    /// Requests the schedule offered.
-    pub offered: u64,
-    /// Requests that got a `TxnDone` back.
-    pub completed: u64,
-    /// ... of which committed.
-    pub committed: u64,
-    /// ... of which aborted.
-    pub aborted: u64,
-    /// Requests shed with `Busy`.
-    pub busy: u64,
-    /// Transport or server errors.
-    pub errors: u64,
-    /// Wall-clock span from epoch to the last completion, seconds.
-    pub wall_secs: f64,
-    /// Committed transactions per wall-clock second.
-    pub committed_per_sec: f64,
-    /// Median completion latency (µs, from *scheduled* arrival).
-    pub p50_us: u64,
-    /// 99th percentile latency (µs).
-    pub p99_us: u64,
-    /// 99.9th percentile latency (µs).
-    pub p999_us: u64,
-    /// Worst completion latency (µs).
-    pub max_us: u64,
-}
-
-impl LoadReport {
-    /// Render for `BENCH_server.json`.
-    pub fn to_json(&self) -> JsonObject {
-        JsonObject::new()
-            .field("offered", self.offered)
-            .field("completed", self.completed)
-            .field("committed", self.committed)
-            .field("aborted", self.aborted)
-            .field("busy", self.busy)
-            .field("errors", self.errors)
-            .field("wall_secs", JsonValue::Float(self.wall_secs, 3))
-            .field(
-                "committed_per_sec",
-                JsonValue::Float(self.committed_per_sec, 1),
-            )
-            .field("p50_us", self.p50_us)
-            .field("p99_us", self.p99_us)
-            .field("p999_us", self.p999_us)
-            .field("max_us", self.max_us)
-    }
-}
-
 /// `q`-quantile (0 < q ≤ 1) of an ascending latency list; 0 when empty.
 pub fn percentile(sorted_us: &[u64], q: f64) -> u64 {
     if sorted_us.is_empty() {
@@ -154,127 +68,6 @@ pub fn percentile(sorted_us: &[u64], q: f64) -> u64 {
     }
     let rank = (q * sorted_us.len() as f64).ceil() as usize;
     sorted_us[rank.clamp(1, sorted_us.len()) - 1]
-}
-
-/// Replay `schedule` open-loop against the server at `addr` over
-/// `connections` connections, and aggregate the samples.
-pub fn run_open_loop(
-    addr: SocketAddr,
-    schedule: Vec<(u64, TxnPlan)>,
-    connections: usize,
-) -> Result<LoadReport, ClientError> {
-    let offered = schedule.len() as u64;
-    let lanes = connections.max(1);
-    let mut per_lane: Vec<Vec<(u64, TxnPlan)>> = (0..lanes).map(|_| Vec::new()).collect();
-    for (i, job) in schedule.into_iter().enumerate() {
-        per_lane[i % lanes].push(job);
-    }
-    // A short runway so every sender is connected before the first
-    // arrival is due.
-    let epoch = Instant::now() + std::time::Duration::from_millis(50);
-
-    let mut handles = Vec::with_capacity(lanes);
-    for jobs in per_lane {
-        handles.push(std::thread::spawn(move || sender(addr, epoch, jobs)));
-    }
-    let mut samples: Vec<Sample> = Vec::new();
-    let mut dead_lanes = 0u64;
-    for h in handles {
-        match h.join() {
-            Ok(Ok(mut s)) => samples.append(&mut s),
-            Ok(Err(_)) | Err(_) => dead_lanes += 1,
-        }
-    }
-    if dead_lanes == lanes as u64 {
-        return Err(ClientError::Protocol("every sender lane failed"));
-    }
-
-    let mut committed = 0u64;
-    let mut aborted = 0u64;
-    let mut busy = 0u64;
-    let mut errors = 0u64;
-    let mut latencies: Vec<u64> = Vec::new();
-    let mut last_done = 0u64;
-    for s in &samples {
-        last_done = last_done.max(s.done_offset_us);
-        match s.outcome {
-            SampleOutcome::Committed => {
-                committed += 1;
-                latencies.push(s.latency_us);
-            }
-            SampleOutcome::Aborted => {
-                aborted += 1;
-                latencies.push(s.latency_us);
-            }
-            SampleOutcome::Busy => busy += 1,
-            SampleOutcome::Error => errors += 1,
-        }
-    }
-    latencies.sort_unstable();
-    let wall_secs = last_done as f64 / 1e6;
-    Ok(LoadReport {
-        offered,
-        completed: committed + aborted,
-        committed,
-        aborted,
-        busy,
-        errors,
-        wall_secs,
-        committed_per_sec: if wall_secs > 0.0 {
-            committed as f64 / wall_secs
-        } else {
-            0.0
-        },
-        p50_us: percentile(&latencies, 0.50),
-        p99_us: percentile(&latencies, 0.99),
-        p999_us: percentile(&latencies, 0.999),
-        max_us: latencies.last().copied().unwrap_or(0),
-    })
-}
-
-/// One sender lane: fire each job at its scheduled instant.
-fn sender(
-    addr: SocketAddr,
-    epoch: Instant,
-    jobs: Vec<(u64, TxnPlan)>,
-) -> Result<Vec<Sample>, ClientError> {
-    let mut client = Client::connect(addr)?;
-    let mut samples = Vec::with_capacity(jobs.len());
-    for (offset_us, plan) in jobs {
-        let target = epoch + std::time::Duration::from_micros(offset_us);
-        let now = Instant::now();
-        if target > now {
-            std::thread::sleep(target - now);
-        }
-        let outcome = match client.submit(&plan) {
-            Ok(out) => {
-                if out.committed {
-                    SampleOutcome::Committed
-                } else {
-                    SampleOutcome::Aborted
-                }
-            }
-            Err(ClientError::Busy) => SampleOutcome::Busy,
-            Err(ClientError::Io(_)) | Err(ClientError::Wire(_)) => {
-                // The connection is gone; everything still queued on this
-                // lane is lost offered load.
-                samples.push(Sample {
-                    latency_us: 0,
-                    done_offset_us: 0,
-                    outcome: SampleOutcome::Error,
-                });
-                break;
-            }
-            Err(_) => SampleOutcome::Error,
-        };
-        let done = Instant::now();
-        samples.push(Sample {
-            latency_us: done.saturating_duration_since(target).as_micros() as u64,
-            done_offset_us: done.saturating_duration_since(epoch).as_micros() as u64,
-            outcome,
-        });
-    }
-    Ok(samples)
 }
 
 #[cfg(test)]
@@ -302,7 +95,6 @@ mod tests {
             duration: SimDuration::from_millis(50),
             read_pct: 20,
             seed: 0x10AD,
-            connections: 2,
         };
         let hospital = cfg.hospital();
         let jobs = schedule(&hospital);

@@ -36,7 +36,6 @@ fn load_config(rate_tps: f64, duration_ms: u64) -> LoadConfig {
         duration: SimDuration::from_millis(duration_ms),
         read_pct: 20,
         seed: SEED,
-        connections: 1,
     }
 }
 

@@ -30,7 +30,6 @@
 
 pub mod cluster;
 pub mod router;
-pub mod threaded;
 pub mod workload;
 
 pub use cluster::{ShardOutcome, ShardedCluster, ShardedConfig, SubmitError};

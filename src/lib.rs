@@ -38,8 +38,8 @@ pub use threev_workload as workload;
 pub mod testutil {
     //! Shared helpers for the workspace's integration tests and binaries:
     //! the `THREEV_FAULT_SEED` / `THREEV_BACKEND` environment hooks the CI
-    //! matrices (and the `threev-server` / `threev-load` binaries) use for
-    //! reproducible runs, parsed in exactly one place.
+    //! matrices (and the `threev-server` binary) use for reproducible runs,
+    //! parsed in exactly one place.
 
     use threev_storage::BackendConfig;
 

@@ -13,6 +13,11 @@
 //! Faults are scoped to the control plane only; the data plane (including
 //! the inter-partition shuttle) stays reliable, matching the paper's §6
 //! delegation of update delivery to the network layer.
+//!
+//! Advancement is also partition-local in cost: each partition pays the
+//! same advancement messages whatever the cluster size, and cross-partition
+//! trees add shuttle traffic but no advancement messages
+//! (`advancement_cost_per_partition_is_independent_of_cluster_size`).
 
 use threev::analysis::TxnStatus;
 use threev::core::advance::AdvancementPolicy;
@@ -370,4 +375,89 @@ fn four_partition_hospital_smoke() {
             assert!(cluster.cross_messages() > 0, "unconfined run never crossed");
         }
     }
+}
+
+/// Per-partition advancement cost of one sharded hospital run.
+struct AdvancementCost {
+    /// Advance-tagged messages each partition's transport carried.
+    messages: Vec<u64>,
+    /// Advancements each partition completed.
+    advancements: Vec<usize>,
+    /// Messages the inter-partition shuttle carried.
+    cross: u64,
+}
+
+/// The hospital at a constant per-partition load (250 tps, 50 patients,
+/// 2 nodes per partition) over `partitions` partitions, with trees pruned
+/// to their root partition when `confined`.
+fn advancement_cost(partitions: u16, confined: bool) -> AdvancementCost {
+    const NODES: u16 = 2;
+    let base = HospitalWorkload {
+        departments: partitions * NODES,
+        patients: 50 * u64::from(partitions),
+        rate_tps: 250.0 * f64::from(partitions),
+        read_pct: 10,
+        max_fanout: 2,
+        duration: SimDuration::from_millis(50),
+        zipf_s: 0.9,
+        seed: 0x5A,
+    };
+    let cfg = ShardedConfig::new(partitions, NODES)
+        .seed(0x5A)
+        .advancement(AdvancementPolicy::Periodic {
+            first: SimDuration::from_millis(20),
+            period: SimDuration::from_millis(30),
+        });
+    let mut hospital = ShardedHospital::new(base, cfg.topology);
+    if confined {
+        hospital = hospital.confined();
+    }
+    let mut cluster = ShardedCluster::new(&hospital.schema(), cfg, hospital.arrivals());
+    cluster.run_until(SimTime(250_000));
+    let mut cost = AdvancementCost {
+        messages: Vec::new(),
+        advancements: Vec::new(),
+        cross: cluster.cross_messages(),
+    };
+    for p in 0..partitions {
+        let pid = PartitionId(p);
+        let advancements = cluster.advancements(pid);
+        let messages = cluster.sim_stats(pid).tagged("advance");
+        // Every broadcast step of a round (start, each phase-2 poll, read
+        // switch, each phase-4 poll, GC) is one request and one reply per
+        // node, so the message count follows from the poll counts alone.
+        let steps: u64 = advancements
+            .iter()
+            .map(|a| 3 + a.p2_rounds + a.p4_rounds)
+            .sum();
+        assert_eq!(
+            messages,
+            2 * u64::from(NODES) * steps,
+            "partition {p} sent advancement messages beyond its rounds"
+        );
+        cost.messages.push(messages);
+        cost.advancements.push(advancements.len());
+    }
+    cost
+}
+
+/// Advancement is partition-local: with disjoint keys, every partition of
+/// a 4-partition cluster pays exactly the advancement messages and rounds
+/// of a 1-partition cluster at the same per-partition load, and nothing
+/// crosses partitions. Cross-partition trees add shuttle traffic but leave
+/// each partition's advancement messages unchanged.
+#[test]
+fn advancement_cost_per_partition_is_independent_of_cluster_size() {
+    let one = advancement_cost(1, true);
+    assert_eq!(one.cross, 0);
+    assert!(one.advancements[0] > 1, "too few advancements to compare");
+
+    let disjoint = advancement_cost(4, true);
+    assert_eq!(disjoint.cross, 0, "disjoint keys crossed partitions");
+    assert_eq!(disjoint.messages, vec![one.messages[0]; 4]);
+    assert_eq!(disjoint.advancements, vec![one.advancements[0]; 4]);
+
+    let cross = advancement_cost(4, false);
+    assert!(cross.cross > 0, "cross trees never crossed partitions");
+    assert_eq!(cross.messages, disjoint.messages);
 }
